@@ -212,57 +212,49 @@ def check_properties(f: PiecewiseLinearFn, sc: ScaleParams, ps: PointSet) -> Pro
         rep.add("v", True)
 
     # (vi) unit jumps at middle-block points
-    ok_vi: tuple[bool, Violation | None] = (True, None)
-    for i in sc.A1:
-        if i > len(ps):
-            break
-        x = ps.points[i - 1]
-        h = f.jump_at(x)
-        if h < 1.0 - JUMP_TOL:
-            ok_vi = (False, Violation(x, h, 1.0, f"point index {i}"))
-            break
-    rep.add("vi", ok_vi[0], ok_vi[1])
+    h = f.jumps_at(ps.values[sc.n0 : sc.N - sc.n0])  # A1 points present in ps
+    bad_vi = np.flatnonzero(h < 1.0 - JUMP_TOL)
+    if bad_vi.size:
+        k = int(bad_vi[0])
+        i = sc.n0 + 1 + k
+        rep.add("vi", False, Violation(ps.points[i - 1], float(h[k]), 1.0, f"point index {i}"))
+    else:
+        rep.add("vi", True)
     return rep
 
 
-def _probe_values(f: PiecewiseLinearFn, lo: float, hi: float) -> list[tuple[float, float]]:
+def _probes(
+    f: PiecewiseLinearFn, lo: float, hi: float, threshold: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(x, limit-value) probes covering every affine piece of f on (lo, hi).
 
-    Probes are segment endpoint limits (right limits entered via jump
-    addition) plus midpoints; exact for affine pieces.  Boundary values are
-    limits from inside the interval, so a jump sitting exactly at lo or hi
-    does not leak in: the dominance claims being checked hold pointwise on
-    the open interval and extend to its ends only by one-sided limits.
+    The window: two binary searches pick the segments of f that meet
+    (lo, hi), and each is clipped to [max(b_k, lo), min(b_{k+1}, hi)].  With a
+    ``threshold`` only pieces whose slope exceeds it fire (ties do not).
+    Every piece gives three probes, in piece order: the limit from the right
+    at its left end (value plus jump), the value at its midpoint and the
+    limit from the left at its right end; exact for affine pieces.
+    Boundary values are limits from inside the interval, so a jump sitting
+    exactly at lo or hi does not leak in: the dominance claims being checked
+    hold pointwise on the open interval and extend to its ends only by
+    one-sided limits.  Requires lo < hi.  Returns the probe abscissas and
+    values as two arrays.
     """
     bp = f.breakpoints
-    cuts = [lo] + [float(b) for b in bp if lo < b < hi] + [hi]
-    probes: list[tuple[float, float]] = []
-    for u, v in zip(cuts[:-1], cuts[1:]):
-        fu = f.value(u)
-        probes.append((u, fu + f.jump_at(u)))  # limit from the right at u
-        probes.append(((u + v) / 2, f.value((u + v) / 2)))
-        probes.append((v, f.value(v)))  # limit from the left at v
-    return probes
-
-
-def _firing_probes(
-    f: PiecewiseLinearFn, lo: float, hi: float, threshold: float
-) -> list[tuple[float, float]]:
-    """Probes on (lo, hi) restricted to segments whose slope exceeds threshold."""
-    bp = f.breakpoints
-    probes: list[tuple[float, float]] = []
-    for k in range(f.slopes.size):
-        u, v = float(bp[k]), float(bp[k + 1])
-        a, b = max(u, lo), min(v, hi)
-        if a >= b:
-            continue
-        if f.slopes[k] <= threshold + JUMP_TOL:  # ties do not fire
-            continue
-        fa = f.value(a) + f.jump_at(a)
-        probes.append((a, fa))
-        probes.append(((a + b) / 2, f.value((a + b) / 2)))
-        probes.append((b, f.value(b)))
-    return probes
+    k = np.arange(
+        int(np.searchsorted(bp, lo, side="right")) - 1,
+        int(np.searchsorted(bp, hi, side="left")),
+    )
+    if threshold is not None:
+        k = k[f.slopes[k] > threshold + JUMP_TOL]
+    u = np.maximum(bp[k], lo)
+    v = np.minimum(bp[k + 1], hi)
+    mid = (u + v) / 2
+    xs = np.column_stack([u, mid, v]).ravel()
+    ys = np.column_stack(
+        [f.values_at(u) + f.jumps_at(u), f.values_at(mid), f.values_at(v)]
+    ).ravel()
+    return xs, ys
 
 
 def _backline_check(
@@ -282,13 +274,15 @@ def _backline_check(
     itself belongs to the stretch left of it, not to this one.
     Returns (ok, fired, witness).
     """
-    firing = _firing_probes(f, jump_x, hi, threshold)
-    if not firing:
+    xs, ys = _probes(f, jump_x, hi, threshold)
+    if not xs.size:
         return True, False, None
-    xbar, fbar = max(firing, key=lambda p: p[1] - s0 * p[0])
+    i = int(np.argmax(ys - s0 * xs))  # first maximum, as max() picks
+    xbar, fbar = float(xs[i]), float(ys[i])
     rhs = fbar - s0 * xbar
-    lhs_probes = _probe_values(f, lo, jump_x)
-    xlow, flow = min(lhs_probes, key=lambda p: p[1] - s0 * p[0])
+    xs, ys = _probes(f, lo, jump_x)
+    i = int(np.argmin(ys - s0 * xs))
+    xlow, flow = float(xs[i]), float(ys[i])
     lhs = flow - s0 * xlow
     if lhs >= rhs - JUMP_TOL:
         return True, True, None
@@ -322,7 +316,7 @@ def check_bend_condition(
         raise ValueError(f"no discontinuity at x_{j}={xj!r}")
     rep = PropertyReport()
     prop = f"bend[j={j}]"
-    vals = np.unique(ps.values)
+    vals = ps.distinct_values
     p = int(np.searchsorted(vals, xj))
     if p == 0 or p == vals.size - 1:
         # no distinct neighbor value on one side: nothing to test
@@ -412,13 +406,14 @@ def check_strict_admissibility(
                 break
     rep.add("a", ok_a[0], ok_a[1])
 
-    ok_b: tuple[bool, Violation | None] = (True, None)
-    for x in sorted(gs.gamma1):
-        h = g.jump_at(x)
-        if h < 1.0 - JUMP_TOL:
-            ok_b = (False, Violation(x, h, 1.0))
-            break
-    rep.add("b", ok_b[0], ok_b[1])
+    unit = np.array(sorted(gs.gamma1))
+    h = g.jumps_at(unit)
+    bad_b = np.flatnonzero(h < 1.0 - JUMP_TOL)
+    if bad_b.size:
+        k = int(bad_b[0])
+        rep.add("b", False, Violation(float(unit[k]), float(h[k]), 1.0))
+    else:
+        rep.add("b", True)
 
     ok_c: tuple[bool, Violation | None] = (True, None)
     fence = np.unique(np.concatenate([sorted_gamma, [0.0, 1.0]]))

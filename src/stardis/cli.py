@@ -153,8 +153,9 @@ def _cmd_check(args) -> int:
         lines.append(f"continuity[x1]: FAIL jump {_fmt(x1_jump)} at x={_fmt(ps.points[0])}")
         failed = True
 
-    for j in range(sc.N - sc.n0 + 1, sc.N):
-        if f.jump_at(ps.points[j - 1]) <= _JUMP_TOL:
+    bend_jumps = f.jumps_at(ps.values[sc.N - sc.n0 : sc.N - 1])
+    for j, h in zip(range(sc.N - sc.n0 + 1, sc.N), bend_jumps):
+        if h <= _JUMP_TOL:
             lines.append(f"bend[j={j}]: skipped (no jump)")
             continue
         rep = check_bend_condition(f, sc, ps, j)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -38,7 +39,10 @@ class PointSet:
     """Finite ordered sequence of reals in [0, 1).
 
     Order matters: the first n entries define the length-n prefix used by
-    counting and discrepancy functions.
+    counting and discrepancy functions.  ``points`` keeps the Python floats
+    (files and witnesses print their reprs); ``values`` and
+    ``distinct_values`` are float64 arrays built once on first use and
+    marked read-only, so every caller shares them without copying.
     """
 
     points: tuple[float, ...]
@@ -46,9 +50,20 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
+        """The points as a read-only float64 array, in sequence order."""
+        return _frozen(np.array(self.points, dtype=float))
+
+    @cached_property
+    def distinct_values(self) -> np.ndarray:
+        """Sorted distinct point values as a read-only float64 array."""
+        return _frozen(np.unique(self.values))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def make_point_set(values: Sequence[float] | Iterable[float]) -> PointSet:
@@ -159,26 +174,29 @@ class PiecewiseLinearFn:
         """Evaluate with the left-continuity convention."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"evaluation point x={x} outside [0, 1]")
-        bp = self.breakpoints
-        if x == 0.0:
-            return self.anchor
-        # segment index k such that b_{k-1} < x <= b_k
-        k = int(np.searchsorted(bp, x, side="left"))
-        return float(
-            self._left_values[k - 1]
-            + self.jumps[k - 1]
-            + self.slopes[k - 1] * (x - bp[k - 1])
-        )
+        return float(self.values_at(np.asarray(x, dtype=float)))
 
     def __call__(self, x: float) -> float:
         return self.value(x)
 
     def jump_at(self, x: float) -> float:
         """Jump height at x (0.0 if x is not a stored breakpoint below 1)."""
-        k = int(np.searchsorted(self.breakpoints, x, side="left"))
-        if k < self.jumps.size and self.breakpoints[k] == x:
-            return float(self.jumps[k])
-        return 0.0
+        return float(self.jumps_at(np.asarray(x, dtype=float)))
+
+    def values_at(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`value` at every entry of xs (in [0, 1], not rechecked)."""
+        bp = self.breakpoints
+        # segment index k such that b_k < x <= b_{k+1}
+        k = np.maximum(np.searchsorted(bp, xs, side="left") - 1, 0)
+        out = self._left_values[k] + self.jumps[k] + self.slopes[k] * (xs - bp[k])
+        return np.where(xs == 0.0, self.anchor, out)
+
+    def jumps_at(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`jump_at` at every entry of xs."""
+        bp, jp = self.breakpoints, self.jumps
+        k = np.searchsorted(bp, xs, side="left")
+        kc = np.minimum(k, jp.size - 1)
+        return np.where((k < jp.size) & (bp[kc] == xs), jp[kc], 0.0)
 
     # -- constructors ----------------------------------------------------
 
@@ -195,27 +213,26 @@ class PiecewiseLinearFn:
         returns arrays aligned with grid (slopes per segment).
         """
         bp = self.breakpoints
+        # grid <= 1 = bp[-1], so idx never runs past the last breakpoint
         idx = np.searchsorted(bp, grid, side="left")
-        own = (idx < bp.size) & (bp[np.minimum(idx, bp.size - 1)] == grid)
+        own = bp[idx] == grid
         # segment of self containing each grid point (for interpolation)
-        seg = np.clip(np.searchsorted(bp, grid, side="left"), 1, bp.size - 1)
-        left = self._left_values[seg - 1] + self.jumps[seg - 1] + self.slopes[seg - 1] * (grid - bp[seg - 1])
-        left[own] = self._left_values[idx[own]]
+        seg = np.maximum(idx, 1) - 1
+        left = self._left_values[seg] + self.jumps[seg] + self.slopes[seg] * (grid - bp[seg])
+        left = np.where(own, self._left_values[idx], left)
         left[0] = self.anchor
-        jumps = np.zeros(grid.size)
-        jumps[own & (grid < 1.0)] = self.jumps[idx[own & (grid < 1.0)]]
+        jumps = np.where(own & (grid < 1.0), self.jumps[np.minimum(idx, self.jumps.size - 1)], 0.0)
         right = left + jumps
         # slope on (grid[k-1], grid[k]] is self's slope of the covering segment
-        segs = np.clip(np.searchsorted(bp, grid[1:], side="left"), 1, bp.size - 1)
-        slopes = self.slopes[segs - 1]
+        slopes = self.slopes[seg[1:]]
         return left, right, slopes
 
     def _binary(self, other: "PiecewiseLinearFn", op: str) -> "PiecewiseLinearFn":
         grid = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
+        fl, fr, fs = self._resample(grid)
+        gl, gr, gs = other._resample(grid)
         if op in ("max", "min"):
             # insert strict interior crossings so each segment is one branch
-            fl, fr, fs = self._resample(grid)
-            gl, gr, gs = other._resample(grid)
             d0 = fr[:-1] - gr[:-1]
             d1 = fl[1:] - gl[1:]
             cross = np.flatnonzero((d0 > 0) != (d1 > 0))
@@ -224,9 +241,10 @@ class PiecewiseLinearFn:
                 u, v = grid[cross], grid[cross + 1]
                 xc = u + d0[cross] * (v - u) / (d0[cross] - d1[cross])
                 keep = (xc > u) & (xc < v)
-                grid = np.unique(np.concatenate([grid, xc[keep]]))
-        fl, fr, fs = self._resample(grid)
-        gl, gr, gs = other._resample(grid)
+                if keep.any():  # else the grid, and so each array, stands
+                    grid = np.unique(np.concatenate([grid, xc[keep]]))
+                    fl, fr, fs = self._resample(grid)
+                    gl, gr, gs = other._resample(grid)
         if op == "add":
             left, right, slopes = fl + gl, fr + gr, fs + gs
         elif op == "sub":
@@ -235,8 +253,9 @@ class PiecewiseLinearFn:
             pick = np.maximum if op == "max" else np.minimum
             left, right = pick(fl, gl), pick(fr, gr)
             # branch taken on each segment decides the slope: compare midpoints
-            mid_f = fr[:-1] + fs * (np.diff(grid) / 2)
-            mid_g = gr[:-1] + gs * (np.diff(grid) / 2)
+            half = np.diff(grid) / 2
+            mid_f = fr[:-1] + fs * half
+            mid_g = gr[:-1] + gs * half
             take_f = mid_f >= mid_g if op == "max" else mid_f <= mid_g
             slopes = np.where(take_f, fs, gs)
         jumps = (right - left)[:-1]

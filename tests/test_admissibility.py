@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +173,16 @@ def test_check_properties_flags_missing_unit_jump():
     rep = check_properties(g, sc, ps)
     assert not rep.passed("vi")
     assert rep.witness("vi").where == 0.2
+    assert rep.witness("vi").note == "point index 2"
+
+
+def test_check_properties_vi_witness_is_first_short_jump():
+    sc = make_scale(3.0, 2)  # A1 = points 4..6
+    ps = make_point_set([0.05, 0.15, 0.25, 0.3, 0.6, 0.45, 0.7, 0.8, 0.9])
+    # unit jump at x_4 = 0.3, jumps of 0.5 at x_5 = 0.6 and none at x_6 = 0.45
+    g = PiecewiseLinearFn([0.0, 0.3, 0.6, 1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.5], 0.0)
+    w = check_properties(g, sc, ps).witness("vi")
+    assert (w.where, w.measured, w.threshold, w.note) == (0.6, 0.5, 1.0, "point index 5")
 
 
 def test_report_lines_render_witness():
@@ -222,6 +236,45 @@ def test_bend_condition_requires_discontinuity():
     flat = PiecewiseLinearFn.zero()
     with pytest.raises(ValueError, match="discontinuity"):
         check_bend_condition(flat, sc, ps, 7)
+
+
+def _tied_t5_member1():
+    # tied-value set: 243 uniforms rounded down to multiples of 1/32
+    rng = random.Random("tied:5:1")
+    return make_point_set([math.floor(rng.random() * 32) / 32 for _ in range(243)])
+
+
+def _exact_f(ps, sc, x: Fraction) -> Fraction:
+    """f(x) in exact rational arithmetic (dyadic points compare exactly)."""
+    pts = [Fraction(v) for v in ps.points]
+
+    def d(n):
+        return sum(1 for v in pts[:n] if v < x) - n * x
+
+    return max(d(n) for n in sc.A2) - max(d(n) for n in sc.A0)
+
+
+def test_bend_sliver_exact_slope():
+    # around c = 18/35 both envelopes switch branch at the same point, so
+    # exact f keeps slope -148 on both sides, at or below the bend threshold
+    # s0 - k = -81 - 53 for j = 215
+    ps, sc = _tied_t5_member1(), make_scale(3.0, 5)
+    c, h = Fraction(18, 35), Fraction(1, 1000)
+    for lo, hi in ((c - 2 * h, c - h), (c - h, c), (c, c + h), (c + h, c + 2 * h)):
+        assert (_exact_f(ps, sc, hi) - _exact_f(ps, sc, lo)) / (hi - lo) == -148
+    assert -148 <= sc.s0 - (215 - (sc.N - sc.n0))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: float envelopes leave a 1-ulp slope -113 sliver at "
+    "18/35 where exact f has slope -148, so bend[j=215] fires spuriously",
+)
+def test_bend_tied_t5_sliver_passes():
+    ps, sc = _tied_t5_member1(), make_scale(3.0, 5)
+    f = build_f(ps, sc)
+    rep = check_bend_condition(f, sc, ps, 215)
+    assert rep.all_ok, rep.lines()
 
 
 def test_bend_condition_vacuous_without_neighbor():

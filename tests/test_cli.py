@@ -125,6 +125,36 @@ def test_check_records_format(capsys):
         assert status in ("pass", "fail", "skipped")
 
 
+# bend indices whose point carries no jump of f for --seed 0 at t = 7; every
+# other line of that check passes
+T7_SEED0_SKIPPED = frozenset((
+    1486, 1540, 1555, 1566, 1569, 1602, 1658, 1661, 1664, 1672, 1685, 1699,
+    1712, 1716, 1726, 1728, 1745, 1763, 1766, 1780, 1809, 1841, 1912, 1922,
+    1930, 1938, 1967, 1971, 1991, 1997, 2017, 2050, 2074, 2084, 2089, 2101,
+    2105, 2116, 2117, 2133, 2138, 2141, 2143, 2145, 2146, 2148, 2149, 2154,
+    2158, 2159, 2165, 2171, 2174, 2176, 2177, 2178, 2179, 2180, 2182, 2183,
+    2184, 2185, 2186,
+))
+
+
+def test_check_t7_golden_verdicts(capsys):
+    # N = 2187 points: pins every verdict line at a scale beyond the smaller
+    # checks, so a change to the envelope or probe arithmetic that moves any
+    # verdict shows here
+    code, out, _ = run(
+        capsys, "check", "--a", "3", "--t", "7", "--seed", "0", "--format", "records"
+    )
+    expected = [f"{p},pass" for p in ("i", "ii", "iii", "iv", "v", "vi", "continuity[x1]")]
+    expected += [
+        f"bend[j={j}],{'skipped' if j in T7_SEED0_SKIPPED else 'pass'}"
+        for j in range(2187 - 729 + 1, 2187)
+    ]
+    expected += [f"strict-{c},pass" for c in "abc"]
+    assert len(expected) == 738
+    assert code == 0
+    assert out.splitlines() == expected
+
+
 def test_check_size_mismatch_exits_2(capsys, tmp_path):
     path = tmp_path / "p8.txt"
     path.write_text("".join(f"{(2*i-1)/16}\n" for i in range(1, 9)))

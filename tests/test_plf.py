@@ -49,6 +49,36 @@ def test_point_file_roundtrip(tmp_path):
     assert back.points == ps.points
 
 
+def test_point_file_prints_float_reprs(tmp_path):
+    ps = make_point_set([0.1, 1 / 3, 0.0, 0.5, 2.0**-30, np.float64(0.7)])
+    path = tmp_path / "pts.txt"
+    write_point_file(ps, path)
+    assert path.read_bytes() == (
+        b"0.1\n0.3333333333333333\n0.0\n0.5\n9.313225746154785e-10\n0.7\n"
+    )
+
+
+def test_point_set_values_cached_read_only():
+    ps = make_point_set([0.5, 0.25, 0.5, 0.0, 0.75])
+    assert ps.values is ps.values
+    assert ps.values.dtype == np.float64
+    assert ps.values.tolist() == list(ps.points)
+    with pytest.raises(ValueError):
+        ps.values[0] = 0.1
+    assert ps.points[0] == 0.5
+    assert ps.distinct_values is ps.distinct_values
+    assert ps.distinct_values.tolist() == [0.0, 0.25, 0.5, 0.75]
+    with pytest.raises(ValueError):
+        ps.distinct_values[0] = 0.1
+
+
+def test_point_set_cache_keeps_value_semantics():
+    ps, qs = make_point_set([0.5, 0.25]), make_point_set([0.5, 0.25])
+    _ = ps.values, ps.distinct_values
+    assert ps == qs and hash(ps) == hash(qs)
+    assert repr(ps) == repr(qs) == "PointSet(points=(0.5, 0.25))"
+
+
 def test_point_file_comments_and_blanks(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("# header\n0.25\n\n0.75   # trailing\n")
@@ -145,6 +175,24 @@ def test_envelope_pointwise(f, g, x):
     assert lo.value(x) == pytest.approx(min(f.value(x), g.value(x)), abs=1e-9 * scale)
     assert (f + g).value(x) == pytest.approx(f.value(x) + g.value(x), abs=1e-9 * scale)
     assert (f - g).value(x) == pytest.approx(f.value(x) - g.value(x), abs=1e-9 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plf_strategy(), plf_strategy(), st.sampled_from(["max", "min"]))
+def test_envelope_equals_full_resample(f, g, op):
+    # the merge reuses its first resample when no crossing is kept; either
+    # way the result must equal both operands resampled on its final grid
+    h = f.maximum(g) if op == "max" else f.minimum(g)
+    grid = h.breakpoints
+    fl, fr, fs = f._resample(grid)
+    gl, gr, gs = g._resample(grid)
+    pick = np.maximum if op == "max" else np.minimum
+    half = np.diff(grid) / 2
+    mid_f, mid_g = fr[:-1] + fs * half, gr[:-1] + gs * half
+    take_f = mid_f >= mid_g if op == "max" else mid_f <= mid_g
+    assert h.slopes.tobytes() == np.where(take_f, fs, gs).tobytes()
+    assert h.jumps.tobytes() == (pick(fr, gr) - pick(fl, gl))[:-1].tobytes()
+    assert h.anchor == pick(fl, gl)[0]
 
 
 @settings(max_examples=100, deadline=None)
