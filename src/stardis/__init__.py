@@ -20,7 +20,6 @@ from .bounds import (
     BoundReport,
     ChiBounds,
     chi_bounds,
-    coefficient_A,
     harmonic_tail_bound_check,
     make_bound_report,
     optimize_constant,
@@ -35,7 +34,6 @@ from .plf import (
     counting_function,
     discrepancy_function,
     make_point_set,
-    plf_integral_abs,
     plf_range_integral,
     read_point_file,
     star_discrepancy,
@@ -69,7 +67,6 @@ __all__ = [
     "counting_function",
     "discrepancy_function",
     "star_discrepancy",
-    "plf_integral_abs",
     "plf_range_integral",
     "read_point_file",
     "write_point_file",
@@ -90,7 +87,6 @@ __all__ = [
     "q_function",
     "chi_bounds",
     "p_function",
-    "coefficient_A",
     "harmonic_tail_bound_check",
     "optimize_constant",
     "make_bound_report",

@@ -22,7 +22,6 @@ __all__ = [
     "q_function",
     "chi_bounds",
     "p_function",
-    "coefficient_A",
     "harmonic_tail_bound_check",
     "optimize_constant",
     "make_bound_report",
@@ -36,22 +35,31 @@ def _lam(a: float) -> float:
     return math.log1p(1.0 / (a - 2.0))
 
 
-def _check_a(a: float, lo: float, hi: float) -> float:
+def _check_domain(
+    a: float, t: int | None = None, *, hi: float = 3.7, t_min: int = 1
+) -> tuple[float, int | None]:
+    """Validate the base a in [3, hi] and, when given, the integer exponent
+    t >= t_min; return them as (float, int)."""
     a = float(a)
-    if not lo <= a <= hi:
-        raise ValueError(f"base a={a} outside [{lo}, {hi}]")
-    return a
+    if not 3.0 <= a <= hi:
+        raise ValueError(f"base a={a} outside [3.0, {hi}]")
+    if t is None:
+        return a, None
+    if not isinstance(t, (int, np.integer)) or t < t_min:
+        kind = "a positive integer" if t_min == 1 else f"an integer >= {t_min}"
+        raise ValueError(f"exponent t={t} must be {kind}")
+    return a, int(t)
 
 
 def strong_bound(a: float) -> float:
     """Strong-form bound (a-2)(8a+3) / (8(2a-1)^2) for a in [3, 4]."""
-    a = _check_a(a, 3.0, 4.0)
+    a, _ = _check_domain(a, hi=4.0)
     return (a - 2.0) * (8.0 * a + 3.0) / (8.0 * (2.0 * a - 1.0) ** 2)
 
 
 def strict_bound(a: float) -> float:
     """Strict-form bound with logarithmic correction, for a in [3, 3.7]."""
-    a = _check_a(a, 3.0, 3.7)
+    a, _ = _check_domain(a)
     lam = _lam(a)
     num = (a - 2.0) * (12.0 * a + 9.0 + (a - 2.0) * (4.0 * a - 3.0) * lam)
     den = 16.0 * (a - 0.5) ** 2 * (3.0 + (a - 2.0) * lam)
@@ -60,7 +68,7 @@ def strict_bound(a: float) -> float:
 
 def q_function(a: float) -> float:
     """q(a) = 3a - 9 - (a-1)(a-2)log(1 + 1/(a-2)); negative on (3, 3.7]."""
-    a = _check_a(a, 3.0, 3.7)
+    a, _ = _check_domain(a)
     return 3.0 * a - 9.0 - (a - 1.0) * (a - 2.0) * _lam(a)
 
 
@@ -76,10 +84,8 @@ class ChiBounds:
 
 def chi_bounds(a: float, t: int) -> ChiBounds:
     """Feasible box and critical point for the middle-block interval length."""
-    a = _check_a(a, 3.0, 3.7)
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise ValueError(f"exponent t={t} must be a positive integer")
-    scale = a ** (1 - int(t))
+    a, t = _check_domain(a, t)
+    scale = a ** (1 - t)
     lam = _lam(a)
     den = 29.0 + 8.0 * a * (a - 4.0) - (a - 2.0) * lam
     if den <= 0.0:
@@ -94,36 +100,14 @@ def p_function(a: float, t: int, chi1: float) -> float:
     Quadratic in the middle-block length chi1; at chi1 = chi_min it
     collapses to strict_bound(a) for every t.
     """
-    a = _check_a(a, 3.0, 3.7)
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise ValueError(f"exponent t={t} must be a positive integer")
+    a, t = _check_domain(a, t)
     if chi1 < 0:
         raise ValueError(f"length chi1={chi1} must be nonnegative")
     lam = _lam(a)
-    at1 = a ** (int(t) - 1)
+    at1 = a ** (t - 1)
     term1 = (a - 2.0) * (1.0 - at1 * (a - 2.0) * chi1) ** 2 / (2.0 * (3.0 + (a - 2.0) * lam))
     term2 = at1 * (a - 2.0) * chi1 * (4.0 - at1 * chi1) / 16.0
     return term1 + term2
-
-
-def coefficient_A(a: float, t: int, n: int) -> float:
-    """Per-unit-length-squared area coefficient for one interval.
-
-    n = 0 selects the first-block coefficient |s0|/4; integer n with
-    1 <= n <= a^{t-1} - 1 selects the last-block coefficient
-    |s0|(n + |s0|) / (2(n + 2|s0|)).
-    """
-    a = _check_a(a, 3.0, 3.7)
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise ValueError(f"exponent t={t} must be a positive integer")
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"index n={n!r} must be an integer")
-    s = a ** (int(t) - 1) * (a - 2.0)
-    if n == 0:
-        return s / 4.0
-    if not 1 <= n <= a ** (int(t) - 1) - 1 + 1e-9:
-        raise ValueError(f"index n={n} outside 0..a^(t-1)-1")
-    return s * (n + s) / (2.0 * (n + 2.0 * s))
 
 
 def harmonic_tail_bound_check(a: float, t: int) -> tuple[float, float]:
@@ -132,11 +116,9 @@ def harmonic_tail_bound_check(a: float, t: int) -> tuple[float, float]:
     Returns (sum_{n=|s0|+1}^{a^{t-1}-1+|s0|} 1/n, log(1 + 1/(a-2))) with
     floored cardinalities; the sum never exceeds the bound.
     """
-    a = _check_a(a, 3.0, 3.7)
-    if not isinstance(t, (int, np.integer)) or t < 2:
-        raise ValueError(f"exponent t={t} must be an integer >= 2")
-    s0 = math.floor(a ** (int(t) - 1) * (a - 2.0))
-    width = math.floor(a ** (int(t) - 1)) - 1
+    a, t = _check_domain(a, t, t_min=2)
+    s0 = math.floor(a ** (t - 1) * (a - 2.0))
+    width = math.floor(a ** (t - 1)) - 1
     total = math.fsum(1.0 / k for k in range(s0 + 1, s0 + width + 1))
     return total, _lam(a)
 
@@ -172,9 +154,9 @@ def optimize_constant(
 ) -> tuple[float, float]:
     """Maximize bound(a) / (2 ln a) over [a_lo, a_hi].
 
-    A 512-point pre-scan locates the maximum (and confirms the profile rises
-    then falls on the grid); golden-section search then refines within the
-    bracketing grid cells.  Returns (a_star, c_star).
+    A 512-point pre-scan locates the grid maximum; golden-section search
+    then refines within the two grid cells around it, and the grid point is
+    kept if refinement does not improve on it.  Returns (a_star, c_star).
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown bound family {family!r}")
@@ -191,16 +173,11 @@ def optimize_constant(
     grid = np.linspace(a_lo, a_hi, 512)
     vals = np.array([phi(x) for x in grid])
     i = int(np.argmax(vals))
-    slack = 1e-13 * float(np.max(np.abs(vals)))
-    diffs = np.diff(vals)
-    unimodal = bool(np.all(diffs[:i] >= -slack) and np.all(diffs[i:] <= slack))
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, grid.size - 1)])
     a_star, c_star = _golden_max(phi, lo, hi, tol)
-    if not unimodal or c_star < vals[i]:
-        # keep the grid point if refinement did not improve on it
-        if vals[i] > c_star:
-            a_star, c_star = float(grid[i]), float(vals[i])
+    if vals[i] > c_star:
+        a_star, c_star = float(grid[i]), float(vals[i])
     return a_star, c_star
 
 
@@ -221,7 +198,7 @@ class BoundReport:
 
 def make_bound_report(a: float) -> BoundReport:
     """Evaluate both families at a; needs a in [3, 3.7] where both exist."""
-    a = _check_a(a, 3.0, 3.7)
+    a, _ = _check_domain(a)
     sg, st = strong_bound(a), strict_bound(a)
     d = 2.0 * math.log(a)
     return BoundReport(a, sg, st, sg / d, st / d)

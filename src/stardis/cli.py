@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .admissibility import (
+    JUMP_TOL,
     build_f,
     check_bend_condition,
     check_properties,
@@ -25,8 +26,6 @@ from .bounds import make_bound_report, optimize_constant, strict_bound, strong_b
 from .plf import make_point_set, read_point_file, star_discrepancy
 from .sequences import kronecker, trajectory, van_der_corput, write_trajectory
 from .variational import qp_gap_report
-
-_JUMP_TOL = 1e-9
 
 
 def _fmt(x: float) -> str:
@@ -147,7 +146,7 @@ def _cmd_check(args) -> int:
     failed |= not rep.all_ok
 
     x1_jump = f.jump_at(ps.points[0])
-    if abs(x1_jump) <= _JUMP_TOL:
+    if abs(x1_jump) <= JUMP_TOL:
         lines.append("continuity[x1]: pass")
     else:
         lines.append(f"continuity[x1]: FAIL jump {_fmt(x1_jump)} at x={_fmt(ps.points[0])}")
@@ -155,7 +154,7 @@ def _cmd_check(args) -> int:
 
     bend_jumps = f.jumps_at(ps.values[sc.N - sc.n0 : sc.N - 1])
     for j, h in zip(range(sc.N - sc.n0 + 1, sc.N), bend_jumps):
-        if h <= _JUMP_TOL:
+        if h <= JUMP_TOL:
             lines.append(f"bend[j={j}]: skipped (no jump)")
             continue
         rep = check_bend_condition(f, sc, ps, j)

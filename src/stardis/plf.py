@@ -23,16 +23,10 @@ __all__ = [
     "counting_function",
     "discrepancy_function",
     "star_discrepancy",
-    "plf_integral_abs",
     "plf_range_integral",
     "read_point_file",
     "write_point_file",
 ]
-
-# breakpoint coordinates coming from the same float source compare exactly;
-# everything derived through arithmetic is compared at this tolerance
-TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PointSet:
@@ -329,11 +323,6 @@ def star_discrepancy(ps: PointSet, n: int | None = None) -> float:
     y = np.sort(ps.values[:n])
     i = np.arange(1, n + 1, dtype=float)
     return float(np.max(np.maximum(i / n - y, y - (i - 1) / n)))
-
-
-def plf_integral_abs(g: PiecewiseLinearFn) -> float:
-    """Exact integral of |g| over [0, 1]."""
-    return g.integral_abs()
 
 
 def plf_range_integral(ps: PointSet) -> float:

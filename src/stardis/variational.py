@@ -10,8 +10,15 @@ total variation integral, where Q depends on the class:
 
 with |s0| = a^{t-1}(a-2).  Minimizing the weighted sum over lengths that
 tile the unit interval is a convex quadratic program; its value reproduces
-the strict closed-form bound.  A brute-force sweep over candidate last-block
-shapes validates Q2 from below.
+the strict closed-form bound.  A sweep over candidate last-block shapes
+validates Q2 from below.
+
+Two facts of the math keep this module small.  The last-block shape area is
+linear in its two right-hand slopes with nonpositive coefficients, so the
+sweep takes both at the largest allowed slope and runs over the jump
+position alone.  And on all of [3, 3.7] the QP's middle-block quadratic is
+strictly convex with its critical point below the box, so the middle-block
+length is always the box floor chi_min; both facts are asserted in the tests.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import chi_bounds, strict_bound, _lam
+from .bounds import _check_domain, chi_bounds, strict_bound
 
 __all__ = [
     "ProfileLengths",
@@ -63,18 +70,24 @@ class ShapeInstance:
         return per_interval_bound(self.kind, self.a, self.t, self.length, self.n)
 
 
-def _check_scale(a: float, t: int) -> tuple[float, int]:
-    a = float(a)
-    if not 3.0 <= a <= 3.7:
-        raise ValueError(f"base a={a} outside [3, 3.7]")
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise ValueError(f"exponent t={t} must be a positive integer")
-    return a, int(t)
+def _q2_area(s, n, L=1.0):
+    """Q2_n(L) = L^2 |s0|(n + |s0|) / (2(n + 2|s0|)) with s = |s0|; at L = 1
+    it is the QP's last-block coefficient A_n.  s, n and L may be arrays."""
+    return L * L * s * (n + s) / (2.0 * (n + 2.0 * s))
+
+
+def _check_step(n, at1: float) -> None:
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= at1 - 1 + 1e-9:
+        raise ValueError(f"step index n={n!r} must be an integer in 1..a^(t-1)-1")
 
 
 def per_interval_bound(kind: str, a: float, t: int, L: float, n: int | None = None) -> float:
-    """Minimum area contribution of one interval of length L in class kind."""
-    a, t = _check_scale(a, t)
+    """Minimum area contribution of one interval of length L in class kind.
+
+    At L = 1 this is the area coefficient A_n of the allocation QP: "Q0"
+    gives A_0 = |s0|/4 and "Q2" with step n gives A_n.
+    """
+    a, t = _check_domain(a, t)
     tag = str(kind).upper()
     if tag not in ("Q0", "Q1", "Q2"):
         raise ValueError(f"unknown interval class {kind!r}")
@@ -88,9 +101,8 @@ def per_interval_bound(kind: str, a: float, t: int, L: float, n: int | None = No
         return L * L * s / 4.0
     if tag == "Q1":
         return L * (4.0 - at1 * L) / 16.0
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= at1 - 1 + 1e-9:
-        raise ValueError(f"step index n={n!r} must be an integer in 1..a^(t-1)-1")
-    return L * L * s * (n + s) / (2.0 * (n + 2.0 * s))
+    _check_step(n, at1)
+    return _q2_area(s, n, L)
 
 
 def q2_shape_sweep(
@@ -99,18 +111,25 @@ def q2_shape_sweep(
     """Smallest area among candidate last-block shapes on a length-L interval.
 
     Shapes vanish at both ends, carry one positive jump at gamma, fall with
-    one slope before it and up to two after it, all slopes drawn from the
-    integer ladder -a^t..s0 plus the exact endpoints.  Jump position and the
-    slope switch point run over multiples of L/grid, so coarser grids probe a
-    subset of finer ones.  Shapes with a right-side slope above s0 - n are
+    slope s0 before it and with slopes s1 then s2 after it (switching at
+    some mu >= gamma), all slopes drawn from the integer ladder -a^t..s0 plus
+    the exact endpoints.  Shapes with a right-side slope above s0 - n are
     excluded: the back-line test rejects them (the left branch is strictly
     negative while the line drawn back from the firing point is positive).
-    Returns the swept minimum, never below the Q2 closed form.
+
+    For fixed (gamma, mu) the area is linear in s1 and s2, with coefficients
+    -(mu-gamma)^2/2 and -(mu-gamma)(L-mu) - (L-mu)^2/2, both <= 0.  So the
+    minimum over the ladder takes s1 = s2 = s, the largest allowed slope:
+    s0 - n, or a ladder integer within 1e-12 above it.  The area is then
+    |s0| gamma^2 / 2 + |s| (L-gamma)^2 / 2, independent of mu, and only the
+    jump position is swept, over the interior multiples of L/grid; coarser
+    grids probe a subset of finer ones, so the minimum never rises under
+    refinement.  Returns the swept minimum, never below the Q2 closed form,
+    and with ``return_shape`` the minimizing shape.
     """
-    a, t = _check_scale(a, t)
+    a, t = _check_domain(a, t)
     at1 = a ** (t - 1)
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= at1 - 1 + 1e-9:
-        raise ValueError(f"step index n={n!r} must be an integer in 1..a^(t-1)-1")
+    _check_step(n, at1)
     if not isinstance(grid, (int, np.integer)) or grid < 100:
         raise ValueError(f"grid resolution {grid} too coarse; need at least 100")
     if L < 0:
@@ -118,43 +137,17 @@ def q2_shape_sweep(
     if L == 0:
         return (0.0, None) if return_shape else 0.0
 
-    at = a**t
     s_abs = at1 * (a - 2.0)
     s0 = -s_abs
     thr = s0 - float(n)
-    ladder = np.arange(math.ceil(-at), math.floor(s0) + 1, dtype=float)
-    ladder = np.unique(np.concatenate([ladder, [-at, s0, thr]]))
-    ladder = ladder[(ladder >= -at - 1e-12) & (ladder <= s0 + 1e-12)]
-    feasible = ladder[ladder <= thr + 1e-12]
-
-    fractions = np.arange(grid + 1) / grid
-    xs = fractions * L
-    gam = xs[1:-1][:, None]
-    mu = xs[None, :]
-    valid = mu >= gam
-    # the left branch adds |slope| * gamma^2 / 2 independent of the right side;
-    # minimal over the ladder at slope s0
-    left = 0.5 * s_abs * gam * gam
-
-    best = math.inf
-    best_at = None
-    for s1 in feasible:
-        for s2 in feasible:
-            span1 = mu - gam
-            span2 = L - mu
-            y0 = -(s1 * span1 + s2 * span2)  # jump lands here; returns to 0 at L
-            midy = -s2 * span2
-            area = left + 0.5 * (y0 + midy) * span1 + 0.5 * midy * span2
-            area = np.where(valid, area, math.inf)
-            k = int(np.argmin(area))
-            if area.flat[k] < best:
-                best = float(area.flat[k])
-                gi, mi = np.unravel_index(k, area.shape)
-                best_at = (float(gam[gi, 0]), float(mu[0, mi]), float(s1), float(s2))
+    s = max(thr, float(math.floor(thr + 1e-12)))
+    gam = np.arange(1, grid) / grid * L
+    area = 0.5 * s_abs * gam * gam - 0.5 * s * (L - gam) ** 2
+    k = int(np.argmin(area))
+    best = float(area[k])
     if not return_shape:
         return best
-    gamma, mu_star, s1, s2 = best_at
-    y0 = -(s1 * (mu_star - gamma) + s2 * (L - mu_star))
+    gamma = float(gam[k])
     shape = ShapeInstance(
         kind="Q2",
         a=a,
@@ -162,9 +155,9 @@ def q2_shape_sweep(
         length=L,
         n=int(n),
         jump_position=gamma,
-        jump_height=y0 - s0 * gamma,
+        jump_height=-s * (L - gamma) - s0 * gamma,
         left_slope=s0,
-        right_slopes=(s1, s2),
+        right_slopes=(s, s),
     )
     return best, shape
 
@@ -226,14 +219,15 @@ def _pgd_objective(C: np.ndarray, g: np.ndarray, rhs: float, seed: int) -> float
 def solve_profile_qp(a: float, t: int) -> ProfileLengths:
     """Minimize the total per-interval bound over lengths tiling [0, 1].
 
-    The middle-block length chi1 is set by clamping the critical point of
-    the reduced quadratic into its feasible box (the quadratic is strictly
-    convex throughout the domain; if that ever fails the cheaper box edge is
-    taken instead).  The remaining program in (chi0, chi2) is an exact
-    equality-constrained quadratic solved in closed form, then cross-checked
-    by projected gradient descent from three random starts.
+    The middle-block length chi1 is the box floor chi_min: the reduced
+    quadratic in chi1 is strictly convex on all of [3, 3.7] and its critical
+    point chi_crit never exceeds chi_min (both checked over a grid of a and
+    t in the tests; the second is asserted here).  The remaining program in
+    (chi0, chi2) is an exact equality-constrained quadratic solved in closed
+    form, then cross-checked by projected gradient descent from three random
+    starts.
     """
-    a, t = _check_scale(a, t)
+    a, t = _check_domain(a, t)
     at1 = a ** (t - 1)
     s_abs = at1 * (a - 2.0)
     w0 = at1
@@ -244,18 +238,12 @@ def solve_profile_qp(a: float, t: int) -> ProfileLengths:
         w[-1] = M - math.floor(M)
 
     cb = chi_bounds(a, t)
-    assert cb.chi_min <= cb.chi_max, "infeasible box for the middle-block length"
-    lead = (a - 2.0) ** 3 * at1**2 / (2.0 * (3.0 + (a - 2.0) * _lam(a))) - at1**2 * (
-        a - 2.0
-    ) / 16.0
-    if lead > 0.0:
-        chi1 = min(max(cb.chi_crit, cb.chi_min), cb.chi_max)
-    else:
-        chi1 = min((cb.chi_min, cb.chi_max), key=lambda c: _reduced_objective(a, t, c))
+    assert cb.chi_crit <= cb.chi_min <= cb.chi_max, "middle-block length off the box floor"
+    chi1 = cb.chi_min
 
     steps = np.arange(1, m + 1, dtype=float)
     A0 = s_abs / 4.0
-    An = s_abs * (steps + s_abs) / (2.0 * (steps + 2.0 * s_abs))
+    An = _q2_area(s_abs, steps)
     rhs = 1.0 - s_abs * chi1
     S = w0 + float(np.sum(w * A0 / An)) if m else w0
     v = A0 * rhs / S  # common marginal cost A0*chi0 = An*chi2_n
@@ -281,23 +269,7 @@ def solve_profile_qp(a: float, t: int) -> ProfileLengths:
             raise RuntimeError(
                 f"projected-gradient cross-check disagrees: {checked!r} vs {inner!r}"
             )
-    return ProfileLengths(chi0, float(chi1), chi2, objective)
-
-
-def _reduced_objective(a: float, t: int, chi1: float) -> float:
-    # exact objective at the optimal (chi0, chi2) for a fixed chi1
-    at1 = a ** (t - 1)
-    s_abs = at1 * (a - 2.0)
-    m = int(math.ceil(at1 - 1.0 - 1e-12))
-    w = np.ones(m)
-    if m > at1 - 1.0:
-        w[-1] = (at1 - 1.0) - math.floor(at1 - 1.0)
-    steps = np.arange(1, m + 1, dtype=float)
-    A0 = s_abs / 4.0
-    An = s_abs * (steps + s_abs) / (2.0 * (steps + 2.0 * s_abs))
-    S = at1 + (float(np.sum(w * A0 / An)) if m else 0.0)
-    rhs = 1.0 - s_abs * chi1
-    return A0 * rhs * rhs / S + s_abs * chi1 * (4.0 - at1 * chi1) / 16.0
+    return ProfileLengths(chi0, chi1, chi2, objective)
 
 
 def qp_gap_report(a: float, t_values) -> list[tuple[int, float, float, float]]:

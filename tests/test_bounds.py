@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from stardis.bounds import (
     chi_bounds,
-    coefficient_A,
     harmonic_tail_bound_check,
     make_bound_report,
     optimize_constant,
@@ -18,6 +17,7 @@ from stardis.bounds import (
     strict_bound,
     strong_bound,
 )
+from stardis.variational import per_interval_bound
 
 
 # ------------------------------------------------------------- bound anchors
@@ -125,29 +125,32 @@ def test_p_validation():
 
 
 # --------------------------------------------------------------- coefficients
+# A_0 = |s0|/4 and A_n (n >= 1) are the Q0 and Q2 per-interval bounds at L = 1
 
 
 def test_coefficient_A_values():
-    assert coefficient_A(3.0, 2, 0) == pytest.approx(0.75, abs=1e-15)
-    assert coefficient_A(3.0, 2, 1) == pytest.approx(6 / 7, abs=1e-15)
-    assert coefficient_A(3.0, 2, 2) == pytest.approx(3 * 5 / (2 * 8), abs=1e-15)
+    assert per_interval_bound("Q0", 3.0, 2, 1.0) == pytest.approx(0.75, abs=1e-15)
+    assert per_interval_bound("Q2", 3.0, 2, 1.0, 1) == pytest.approx(6 / 7, abs=1e-15)
+    assert per_interval_bound("Q2", 3.0, 2, 1.0, 2) == pytest.approx(
+        3 * 5 / (2 * 8), abs=1e-15
+    )
 
 
 def test_coefficient_A_monotone_below_half_s0():
     s0 = 3.0 ** 4  # |s0| at a=3, t=5
-    vals = [coefficient_A(3.0, 5, n) for n in range(1, 81)]
+    vals = [per_interval_bound("Q2", 3.0, 5, 1.0, n) for n in range(1, 81)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert all(v < s0 / 2 for v in vals)
-    assert vals[0] > coefficient_A(3.0, 5, 0)  # n=0 gives the smaller s0/4
+    assert vals[0] > per_interval_bound("Q0", 3.0, 5, 1.0)  # A_0 is the smaller s0/4
 
 
 def test_coefficient_A_validation():
     with pytest.raises(ValueError):
-        coefficient_A(3.0, 2, 3)  # a^{t-1} - 1 = 2
+        per_interval_bound("Q2", 3.0, 2, 1.0, 3)  # a^{t-1} - 1 = 2
     with pytest.raises(ValueError):
-        coefficient_A(3.0, 2, -1)
+        per_interval_bound("Q2", 3.0, 2, 1.0, -1)
     with pytest.raises(ValueError):
-        coefficient_A(3.0, 2, 1.5)  # type: ignore[arg-type]
+        per_interval_bound("Q2", 3.0, 2, 1.0, 1.5)  # type: ignore[arg-type]
 
 
 # ------------------------------------------------------------- harmonic tail

@@ -12,7 +12,6 @@ from stardis.plf import (
     counting_function,
     discrepancy_function,
     make_point_set,
-    plf_integral_abs,
     plf_range_integral,
     read_point_file,
     star_discrepancy,
@@ -211,13 +210,13 @@ def test_integral_abs_matches_quadrature(f):
 
 
 def test_integral_abs_examples():
-    assert plf_integral_abs(PiecewiseLinearFn.zero()) == 0.0
+    assert PiecewiseLinearFn.zero().integral_abs() == 0.0
     tent = PiecewiseLinearFn([0.0, 1.0], [-2.0], [0.0], 1.0)  # 1 - 2x
-    assert plf_integral_abs(tent) == pytest.approx(0.5, abs=1e-15)
+    assert tent.integral_abs() == pytest.approx(0.5, abs=1e-15)
     saw = PiecewiseLinearFn([0.0, 0.5, 1.0], [-2.0, -2.0], [0.0, 2.0], 1.0)
-    assert plf_integral_abs(saw) == pytest.approx(1.0, abs=1e-15)
+    assert saw.integral_abs() == pytest.approx(1.0, abs=1e-15)
     saw0 = PiecewiseLinearFn([0.0, 0.5, 1.0], [-2.0, -2.0], [0.0, 2.0], 0.0)
-    assert plf_integral_abs(saw0) == pytest.approx(0.5, abs=1e-15)
+    assert saw0.integral_abs() == pytest.approx(0.5, abs=1e-15)
 
 
 def test_integral_abs_refinement_invariant():
@@ -351,4 +350,4 @@ def test_plf_range_integral_quadrature_cross_check():
 def test_plf_range_integral_dominates_final_profile(points):
     ps = make_point_set(points)
     d = discrepancy_function(ps, len(ps))
-    assert plf_range_integral(ps) >= plf_integral_abs(d) - 1e-12
+    assert plf_range_integral(ps) >= d.integral_abs() - 1e-12

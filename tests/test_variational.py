@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stardis.bounds import chi_bounds, strict_bound
+from stardis.bounds import _lam, chi_bounds, strict_bound
 from stardis.variational import (
     per_interval_bound,
     q2_shape_sweep,
@@ -81,12 +83,62 @@ def test_sweep_monotone_under_refinement():
     # minimum can only decrease
     vals = [q2_shape_sweep(3.0, 2, 1, 0.1, g) for g in (100, 200, 400)]
     assert vals[0] >= vals[1] >= vals[2]
+    for n in (1, 4, 8):
+        for L in (0.01, 0.05, 0.1):
+            vals = [q2_shape_sweep(3.0, 3, n, L, g) for g in (100, 400, 1600)]
+            assert vals[0] >= vals[1] >= vals[2]
 
 
 def test_sweep_converges_to_bound_from_above():
     bound = 6 / 700
     swept = q2_shape_sweep(3.0, 2, 1, 0.1, 400)
     assert bound - 1e-12 <= swept <= bound + 1e-5
+
+
+def _ladder_sweep(a, t, n, L, grid):
+    """Brute-force oracle: the 2-D sweep over every feasible (s1, s2) ladder
+    pair and every slope switch point mu >= gamma.  Returns the minimum and
+    the largest feasible slope."""
+    at1, at = a ** (t - 1), a**t
+    s_abs = at1 * (a - 2.0)
+    s0 = -s_abs
+    thr = s0 - float(n)
+    ladder = np.arange(math.ceil(-at), math.floor(s0) + 1, dtype=float)
+    ladder = np.unique(np.concatenate([ladder, [-at, s0, thr]]))
+    ladder = ladder[(ladder >= -at - 1e-12) & (ladder <= s0 + 1e-12)]
+    feasible = ladder[ladder <= thr + 1e-12]
+    xs = np.arange(grid + 1) / grid * L
+    gam, mu = np.meshgrid(xs[1:-1], xs, indexing="ij")
+    valid = mu >= gam
+    gam, mu = gam[valid], mu[valid]
+    left = 0.5 * s_abs * gam * gam
+    span1, span2 = mu - gam, L - mu
+    best = math.inf
+    for s1 in feasible:
+        for s2 in feasible:
+            y0 = -(s1 * span1 + s2 * span2)
+            midy = -s2 * span2
+            area = left + 0.5 * (y0 + midy) * span1 + 0.5 * midy * span2
+            best = min(best, float(np.min(area)))
+    return best, float(feasible[-1])
+
+
+def test_sweep_matches_ladder_oracle():
+    worst = 0.0
+    cases = 0
+    # at a = 3 + 1e-13 and t = 2, s0 - n lies within 1e-12 below an integer
+    # of the ladder, which is then the largest allowed slope
+    for a in (3.0, 3.0 + 1e-13, 3.3, 3.62):
+        for t in (2, 3):
+            for n in range(1, int(a ** (t - 1) - 1 + 1e-9) + 1):
+                for L in (0.01, 0.05, 0.1):
+                    want, s = _ladder_sweep(a, t, n, L, 100)
+                    got, shape = q2_shape_sweep(a, t, n, L, 100, return_shape=True)
+                    worst = max(worst, abs(got - want) / want)
+                    assert shape.right_slopes == (s, s)
+                    cases += 1
+    assert cases == 135
+    assert worst <= 1e-15
 
 
 def test_sweep_best_shape_is_feasible():
@@ -118,6 +170,22 @@ def test_qp_frozen_objectives():
     assert solve_profile_qp(3.7, 3).objective == pytest.approx(
         0.17355089578411947, abs=1e-9
     )
+
+
+def test_qp_middle_block_quadratic_convex_and_floor_pinned():
+    # the facts that make chi1 = chi_min in solve_profile_qp: the reduced
+    # quadratic's leading coefficient is positive and its critical point
+    # lies at or below the box floor
+    for a in np.linspace(3.0, 3.7, 701):
+        a = float(a)
+        for t in range(1, 13):
+            at1 = a ** (t - 1)
+            lead = (a - 2.0) ** 3 * at1**2 / (2.0 * (3.0 + (a - 2.0) * _lam(a))) - at1**2 * (
+                a - 2.0
+            ) / 16.0
+            assert lead > 0.0
+            cb = chi_bounds(a, t)
+            assert cb.chi_crit <= cb.chi_min
 
 
 def test_qp_pins_chi1_at_box_floor():
