@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 _FAMILIES = {"strong": (3.0, 4.0), "strict": (3.0, 3.7)}
+# golden section stops shrinking hi - lo at a few ulps of a (4.4e-16 near
+# 3.6), so optimize_constant with a smaller tol would never return
+TOL_FLOOR = 1e-14
 
 
 def _lam(a: float) -> float:
@@ -156,7 +159,8 @@ def optimize_constant(
 
     A 512-point pre-scan locates the grid maximum; golden-section search
     then refines within the two grid cells around it, and the grid point is
-    kept if refinement does not improve on it.  Returns (a_star, c_star).
+    kept if refinement does not improve on it.  tol, the width at which
+    the search stops, must be at least TOL_FLOOR.  Returns (a_star, c_star).
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown bound family {family!r}")
@@ -165,8 +169,8 @@ def optimize_constant(
         raise ValueError(
             f"interval [{a_lo}, {a_hi}] invalid for family {family!r} with domain [{dom_lo}, {dom_hi}]"
         )
-    if not tol > 0.0:
-        raise ValueError(f"tolerance {tol} must be positive")
+    if not tol >= TOL_FLOOR:
+        raise ValueError(f"tolerance {tol} must be at least {TOL_FLOOR}")
     phi = _phi(family)
     if a_hi == a_lo:
         return a_lo, phi(a_lo)

@@ -4,6 +4,11 @@ length-allocation QP, and sequence trajectories.
 Exit codes: 0 success, 1 at least one admissibility check failed, 2 usage or
 domain error.  Numbers print with 9 significant digits; ``--format records``
 switches to bare comma-separated lines for downstream tooling.
+
+Size inputs are capped, so that a large value exits 2 before anything is
+allocated instead of exhausting memory: ``check --t`` at CHECK_MAX_T,
+``qp --t`` (each end of a range) at QP_MAX_T and ``sequence --count`` at
+SEQUENCE_MAX_COUNT.
 """
 from __future__ import annotations
 
@@ -26,6 +31,10 @@ from .bounds import make_bound_report, optimize_constant, strict_bound, strong_b
 from .plf import make_point_set, read_point_file, star_discrepancy
 from .sequences import kronecker, trajectory, van_der_corput, write_trajectory
 from .variational import qp_gap_report
+
+CHECK_MAX_T = 8  # N = a^t points: 6561 at a = 3, 35125 at a = 3.7
+QP_MAX_T = 12  # ~a^(t-1) last-block steps; qp(3.7, 12) takes 11 s on a 2-core Xeon VM
+SEQUENCE_MAX_COUNT = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -131,6 +140,8 @@ def _cmd_check(args) -> int:
     if (args.input is None) == (args.seed is None):
         print("error: need exactly one of a point file or --seed", file=sys.stderr)
         return 2
+    if args.t > CHECK_MAX_T:
+        raise ValueError(f"exponent t={args.t} above the check limit {CHECK_MAX_T}")
     sc = make_scale(args.a, args.t)
     if args.input is not None:
         ps = read_point_file(args.input)
@@ -183,15 +194,17 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _parse_t_spec(spec: str) -> list[int]:
-    spec = str(spec)
-    if ".." in spec:
-        lo_s, _, hi_s = spec.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ValueError(f"empty exponent range {spec!r}")
-        return list(range(lo, hi + 1))
-    return [int(spec)]
+def _parse_t_spec(spec: str) -> range:
+    lo_s, dots, hi_s = str(spec).partition("..")
+    lo = int(lo_s)
+    hi = int(hi_s) if dots else lo
+    if hi < lo:
+        raise ValueError(f"empty exponent range {spec!r}")
+    if hi > QP_MAX_T:
+        raise ValueError(f"exponent t={hi} above the qp limit {QP_MAX_T}")
+    # a range, not a list: a far-off lower end fails qp's own t >= 1 check
+    # at its first value instead of being listed out
+    return range(lo, hi + 1)
 
 
 def _cmd_qp(args) -> int:
@@ -215,6 +228,8 @@ def _parse_stride(spec: str):
 
 
 def _cmd_sequence(args) -> int:
+    if args.count > SEQUENCE_MAX_COUNT:
+        raise ValueError(f"count {args.count} above the sequence limit {SEQUENCE_MAX_COUNT}")
     if args.kind == "vdc":
         ps = van_der_corput(args.base, args.count)
     elif args.alpha is None:
@@ -230,8 +245,7 @@ def _cmd_sequence(args) -> int:
     peak = records[-1].running_max
     if args.format == "records":
         for r in records:
-            norm = "" if r.normalized is None else _fmt(r.normalized)
-            print(f"{r.N},{_fmt(r.dstar)},{_fmt(r.scaled)},{norm},{_fmt(r.running_max)}")
+            print(r.record())
     else:
         print(f"records={len(records)} file={path} max_normalized={_fmt(peak)}")
     return 0

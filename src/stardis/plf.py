@@ -3,7 +3,7 @@
 The central object is :class:`PiecewiseLinearFn`, a left-continuous piecewise
 linear function on [0, 1] with jump discontinuities at breakpoints.  The
 discrepancy function of a point-set prefix is represented exactly in this form,
-and envelope arithmetic (pointwise max/min, sums, differences) stays exact
+and envelope arithmetic (pointwise max, sums, differences) stays exact
 because all operations resolve to affine pieces on a merged breakpoint grid.
 """
 from __future__ import annotations
@@ -20,10 +20,8 @@ __all__ = [
     "PointSet",
     "PiecewiseLinearFn",
     "make_point_set",
-    "counting_function",
     "discrepancy_function",
     "star_discrepancy",
-    "plf_range_integral",
     "read_point_file",
     "write_point_file",
 ]
@@ -33,7 +31,7 @@ class PointSet:
     """Finite ordered sequence of reals in [0, 1).
 
     Order matters: the first n entries define the length-n prefix used by
-    counting and discrepancy functions.  ``points`` keeps the Python floats
+    discrepancy functions.  ``points`` keeps the Python floats
     (files and witnesses print their reprs); ``values`` and
     ``distinct_values`` are float64 arrays built once on first use and
     marked read-only, so every caller shares them without copying.
@@ -93,16 +91,6 @@ def write_point_file(ps: PointSet, path: str | Path) -> None:
     Path(path).write_text("".join(f"{v!r}\n" for v in ps.points))
 
 
-def counting_function(ps: PointSet, n: int, x: float) -> int:
-    """#{i <= n : x_i < x}, the strict-inequality counting function."""
-    if not 1 <= n <= len(ps):
-        raise ValueError(f"prefix length n={n} out of range 1..{len(ps)}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"evaluation point x={x} outside [0, 1]")
-    prefix = ps.values[:n]
-    return int(np.count_nonzero(prefix < x))
-
-
 class PiecewiseLinearFn:
     """Left-continuous piecewise-linear function on [0, 1].
 
@@ -160,10 +148,6 @@ class PiecewiseLinearFn:
         """f(b_k) for every breakpoint (left limits)."""
         return self._left_values
 
-    def right_limit(self, k: int) -> float:
-        """Limit of f from the right at breakpoint index k (k < m)."""
-        return float(self._left_values[k] + self.jumps[k])
-
     def value(self, x: float) -> float:
         """Evaluate with the left-continuity convention."""
         if not 0.0 <= x <= 1.0:
@@ -192,12 +176,6 @@ class PiecewiseLinearFn:
         kc = np.minimum(k, jp.size - 1)
         return np.where((k < jp.size) & (bp[kc] == xs), jp[kc], 0.0)
 
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "PiecewiseLinearFn":
-        return cls([0.0, 1.0], [0.0], [0.0], 0.0)
-
     # -- arithmetic ------------------------------------------------------
 
     def _resample(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,7 +203,11 @@ class PiecewiseLinearFn:
         grid = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
         fl, fr, fs = self._resample(grid)
         gl, gr, gs = other._resample(grid)
-        if op in ("max", "min"):
+        if op == "add":
+            left, right, slopes = fl + gl, fr + gr, fs + gs
+        elif op == "sub":
+            left, right, slopes = fl - gl, fr - gr, fs - gs
+        else:
             # insert strict interior crossings so each segment is one branch
             d0 = fr[:-1] - gr[:-1]
             d1 = fl[1:] - gl[1:]
@@ -239,19 +221,12 @@ class PiecewiseLinearFn:
                     grid = np.unique(np.concatenate([grid, xc[keep]]))
                     fl, fr, fs = self._resample(grid)
                     gl, gr, gs = other._resample(grid)
-        if op == "add":
-            left, right, slopes = fl + gl, fr + gr, fs + gs
-        elif op == "sub":
-            left, right, slopes = fl - gl, fr - gr, fs - gs
-        else:
-            pick = np.maximum if op == "max" else np.minimum
-            left, right = pick(fl, gl), pick(fr, gr)
+            left, right = np.maximum(fl, gl), np.maximum(fr, gr)
             # branch taken on each segment decides the slope: compare midpoints
             half = np.diff(grid) / 2
             mid_f = fr[:-1] + fs * half
             mid_g = gr[:-1] + gs * half
-            take_f = mid_f >= mid_g if op == "max" else mid_f <= mid_g
-            slopes = np.where(take_f, fs, gs)
+            slopes = np.where(mid_f >= mid_g, fs, gs)
         jumps = (right - left)[:-1]
         return PiecewiseLinearFn(grid, slopes, jumps, float(left[0]))
 
@@ -263,32 +238,6 @@ class PiecewiseLinearFn:
 
     def maximum(self, other: "PiecewiseLinearFn") -> "PiecewiseLinearFn":
         return self._binary(other, "max")
-
-    def minimum(self, other: "PiecewiseLinearFn") -> "PiecewiseLinearFn":
-        return self._binary(other, "min")
-
-    # -- integrals -------------------------------------------------------
-
-    def integral(self) -> float:
-        """Exact signed integral over [0, 1]."""
-        w = np.diff(self.breakpoints)
-        y0 = self._left_values[:-1] + self.jumps  # value entering each segment
-        y1 = self._left_values[1:]
-        return float(np.sum(0.5 * (y0 + y1) * w))
-
-    def integral_abs(self) -> float:
-        """Exact integral of |f| with zero-crossing splits inside segments."""
-        w = np.diff(self.breakpoints)
-        y0 = self._left_values[:-1] + self.jumps
-        y1 = self._left_values[1:]
-        same = y0 * y1 >= 0.0
-        areas = np.where(
-            same,
-            0.5 * np.abs(y0 + y1) * w,
-            # affine sign change: two triangles meeting at the interior zero
-            0.5 * (y0 * y0 + y1 * y1) * w / np.where(same, 1.0, np.abs(y1 - y0)),
-        )
-        return float(np.sum(areas))
 
 
 def discrepancy_function(ps: PointSet, n: int) -> PiecewiseLinearFn:
@@ -324,19 +273,3 @@ def star_discrepancy(ps: PointSet, n: int | None = None) -> float:
     i = np.arange(1, n + 1, dtype=float)
     return float(np.max(np.maximum(i / n - y, y - (i - 1) / n)))
 
-
-def plf_range_integral(ps: PointSet) -> float:
-    """Integral of the spread between the extreme discrepancy profiles.
-
-    Computes the upper minus the lower envelope of {D_n : 0 <= n <= N}
-    (the empty prefix contributes the zero function) and integrates the
-    difference exactly.
-    """
-    members = [PiecewiseLinearFn.zero()]
-    members += [discrepancy_function(ps, n) for n in range(1, len(ps) + 1)]
-    upper = members[0]
-    lower = members[0]
-    for m in members[1:]:
-        upper = upper.maximum(m)
-        lower = lower.minimum(m)
-    return (upper - lower).integral()

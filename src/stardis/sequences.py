@@ -33,16 +33,15 @@ def van_der_corput(base: int, count: int) -> PointSet:
         raise ValueError(f"radical-inverse base {base!r} must be an integer >= 2")
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"count {count!r} must be a positive integer")
-    out = np.empty(int(count))
-    for i in range(int(count)):
-        k = i + 1
-        x, denom = 0.0, 1.0 / base
-        while k:
-            k, digit = divmod(k, base)
-            x += digit * denom
-            denom /= base
-        out[i] = x
-    return make_point_set(out)
+    # one pass per digit position over all indices; a finished index adds
+    # 0 * denom, which leaves x unchanged, so each x is summed as per point
+    k = np.arange(1, int(count) + 1, dtype=np.int64)
+    x, denom = np.zeros(k.size), 1.0 / base
+    while k.any():
+        k, digit = np.divmod(k, base)
+        x += digit * denom
+        denom /= base
+    return make_point_set(x)
 
 
 def kronecker(count: int, alpha: float = GOLDEN_MEAN_FRAC) -> PointSet:
@@ -64,6 +63,12 @@ class TrajectoryRecord:
     scaled: float
     normalized: float | None
     running_max: float
+
+    def record(self) -> str:
+        """The comma-separated line N,dstar,scaled,normalized,running_max,
+        with the normalized field left empty at N = 1."""
+        norm = "" if self.normalized is None else f"{self.normalized:.9g}"
+        return f"{self.N},{self.dstar:.9g},{self.scaled:.9g},{norm},{self.running_max:.9g}"
 
 
 def _resolve_stride(stride, total: int) -> list[int]:
@@ -110,15 +115,11 @@ def trajectory(ps: PointSet, stride="dyadic") -> list[TrajectoryRecord]:
 
 
 def write_trajectory(records: list[TrajectoryRecord], path) -> None:
-    """One comma-separated record per line: N, dstar, scaled, normalized,
-    running_max, with the normalized field left empty at N = 1."""
+    """A header line, then one :meth:`TrajectoryRecord.record` per line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# N,dstar,scaled,normalized,running_max\n")
         for r in records:
-            norm = "" if r.normalized is None else f"{r.normalized:.9g}"
-            fh.write(
-                f"{r.N},{r.dstar:.9g},{r.scaled:.9g},{norm},{r.running_max:.9g}\n"
-            )
+            fh.write(r.record() + "\n")
 
 
 def read_trajectory(path) -> list[TrajectoryRecord]:

@@ -233,7 +233,7 @@ def test_bend_condition_index_validation():
 def test_bend_condition_requires_discontinuity():
     sc = make_scale(3.0, 2)
     ps = make_point_set(np.random.default_rng(1).random(9))
-    flat = PiecewiseLinearFn.zero()
+    flat = PiecewiseLinearFn([0.0, 1.0], [0.0], [0.0], 0.0)
     with pytest.raises(ValueError, match="discontinuity"):
         check_bend_condition(flat, sc, ps, 7)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stardis.bounds import (
+    TOL_FLOOR,
     chi_bounds,
     harmonic_tail_bound_check,
     make_bound_report,
@@ -216,6 +217,10 @@ def test_optimize_validation():
         optimize_constant("strong", 2.5, 3.5)
     with pytest.raises(ValueError):
         optimize_constant("strict", 3.0, 3.7, tol=0.0)
+    with pytest.raises(ValueError, match="at least 1e-14"):
+        optimize_constant("strict", 3.0, 3.7, tol=1e-17)  # never returned before
+    a_star, _ = optimize_constant("strict", 3.0, 3.7, tol=TOL_FLOOR)
+    assert a_star == pytest.approx(3.62079562, abs=1e-8)
 
 
 @settings(max_examples=30, deadline=None)

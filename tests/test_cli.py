@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stardis.cli import main
+from stardis.cli import CHECK_MAX_T, QP_MAX_T, SEQUENCE_MAX_COUNT, main
 
 
 def run(capsys, *argv):
@@ -46,6 +46,13 @@ def test_bound_full_report(capsys):
     parts = out.strip().split(",")
     assert len(parts) == 5
     assert float(parts[0]) == 3.5
+
+
+def test_bound_optimize_tol_below_floor_exits_2(capsys):
+    # golden section cannot shrink below float spacing, so such a tol hung
+    code, out, err = run(capsys, "bound", "--optimize", "--tol", "1e-17")
+    assert code == 2
+    assert out == "" and "1e-14" in err
 
 
 def test_bound_domain_error_exits_2(capsys):
@@ -200,6 +207,12 @@ def test_check_requires_exactly_one_source(capsys, tmp_path):
     assert code == 2
 
 
+def test_check_t_above_cap_exits_2(capsys):
+    code, out, err = run(capsys, "check", "--seed", "0", "--a", "3", "--t", str(CHECK_MAX_T + 1))
+    assert code == 2
+    assert out == "" and "limit 8" in err
+
+
 def test_check_domain_error_exits_2(capsys):
     code, _, err = run(capsys, "check", "--seed", "1", "--a", "2.9", "--t", "2")
     assert code == 2
@@ -236,6 +249,20 @@ def test_qp_domain_error_exits_2(capsys):
 def test_qp_bad_range_exits_2(capsys):
     code, _, err = run(capsys, "qp", "--a", "3", "--t", "8..3")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", [str(QP_MAX_T + 1), f"3..{QP_MAX_T + 1}", f"{QP_MAX_T + 1}..{QP_MAX_T + 2}"])
+def test_qp_t_above_cap_exits_2(capsys, spec):
+    code, out, err = run(capsys, "qp", "--a", "3", "--t", spec)
+    assert code == 2
+    assert out == "" and "limit 12" in err
+
+
+def test_qp_range_far_below_one_fails_fast(capsys):
+    # the range is never listed out: its first value fails the t >= 1 check
+    code, _, err = run(capsys, "qp", "--a", "3", "--t=-1000000000000..2")
+    assert code == 2
+    assert "t=-1000000000000 must be a positive integer" in err
 
 
 # ------------------------------------------------------------------ sequence
@@ -292,6 +319,18 @@ def test_sequence_bad_base_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("kind", ["vdc", "kronecker"])
+def test_sequence_count_above_cap_exits_2(capsys, tmp_path, kind):
+    target = tmp_path / "t.txt"
+    code, out, err = run(
+        capsys, "sequence", kind, "--count", str(SEQUENCE_MAX_COUNT + 1),
+        "--output", str(target),
+    )
+    assert code == 2
+    assert out == "" and "limit 1000000" in err
+    assert not target.exists()
 
 
 def test_sequence_bad_stride_exits_2(capsys, tmp_path):

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from stardis.plf import (
     PiecewiseLinearFn,
-    counting_function,
     discrepancy_function,
     make_point_set,
-    plf_range_integral,
     read_point_file,
     star_discrepancy,
     write_point_file,
@@ -91,27 +89,6 @@ def test_point_file_unparseable(tmp_path):
         read_point_file(path)
 
 
-# --------------------------------------------------------- counting function
-
-
-def test_counting_function_examples():
-    ps = make_point_set([0.25, 0.75])
-    assert counting_function(ps, 2, 0.5) == 1
-    assert counting_function(ps, 2, 0.25) == 0  # strict inequality
-    assert counting_function(ps, 2, 1.0) == 2
-    assert counting_function(ps, 1, 1.0) == 1
-
-
-def test_counting_function_domain():
-    ps = make_point_set([0.25])
-    with pytest.raises(ValueError):
-        counting_function(ps, 0, 0.5)
-    with pytest.raises(ValueError):
-        counting_function(ps, 2, 0.5)
-    with pytest.raises(ValueError):
-        counting_function(ps, 1, 1.5)
-
-
 # ------------------------------------------------------------ the PLF engine
 
 
@@ -149,7 +126,7 @@ def test_constructor_validation():
 def test_left_continuity_and_jumps():
     g = PiecewiseLinearFn([0.0, 0.5, 1.0], [1.0, -1.0], [0.0, 2.0], 0.0)
     assert g.value(0.5) == pytest.approx(0.5, abs=1e-15)  # left limit at the jump
-    assert g.right_limit(1) == pytest.approx(2.5, abs=1e-15)
+    assert g.value(0.5) + g.jump_at(0.5) == pytest.approx(2.5, abs=1e-15)  # right limit
     assert g.jump_at(0.5) == 2.0
     assert g.jump_at(0.3) == 0.0
     assert g.value(0.75) == pytest.approx(2.5 - 0.25, abs=1e-15)
@@ -169,66 +146,25 @@ def test_envelope_pointwise(f, g, x):
         np.max(np.abs(f.left_values)), np.max(np.abs(g.left_values))
     )
     hi = f.maximum(g)
-    lo = f.minimum(g)
     assert hi.value(x) == pytest.approx(max(f.value(x), g.value(x)), abs=1e-9 * scale)
-    assert lo.value(x) == pytest.approx(min(f.value(x), g.value(x)), abs=1e-9 * scale)
     assert (f + g).value(x) == pytest.approx(f.value(x) + g.value(x), abs=1e-9 * scale)
     assert (f - g).value(x) == pytest.approx(f.value(x) - g.value(x), abs=1e-9 * scale)
 
 
 @settings(max_examples=100, deadline=None)
-@given(plf_strategy(), plf_strategy(), st.sampled_from(["max", "min"]))
-def test_envelope_equals_full_resample(f, g, op):
+@given(plf_strategy(), plf_strategy())
+def test_envelope_equals_full_resample(f, g):
     # the merge reuses its first resample when no crossing is kept; either
     # way the result must equal both operands resampled on its final grid
-    h = f.maximum(g) if op == "max" else f.minimum(g)
+    h = f.maximum(g)
     grid = h.breakpoints
     fl, fr, fs = f._resample(grid)
     gl, gr, gs = g._resample(grid)
-    pick = np.maximum if op == "max" else np.minimum
     half = np.diff(grid) / 2
     mid_f, mid_g = fr[:-1] + fs * half, gr[:-1] + gs * half
-    take_f = mid_f >= mid_g if op == "max" else mid_f <= mid_g
-    assert h.slopes.tobytes() == np.where(take_f, fs, gs).tobytes()
-    assert h.jumps.tobytes() == (pick(fr, gr) - pick(fl, gl))[:-1].tobytes()
-    assert h.anchor == pick(fl, gl)[0]
-
-
-@settings(max_examples=100, deadline=None)
-@given(plf_strategy())
-def test_integral_abs_matches_quadrature(f):
-    total = 0.0
-    k = 512
-    for seg in range(f.slopes.size):
-        u, v = f.breakpoints[seg], f.breakpoints[seg + 1]
-        y0 = f.left_values[seg] + f.jumps[seg]
-        ts = (np.arange(k) + 0.5) / k * (v - u)
-        total += float(np.sum(np.abs(y0 + f.slopes[seg] * ts))) * (v - u) / k
-    scale = 1.0 + float(np.max(np.abs(f.left_values)))
-    assert f.integral_abs() == pytest.approx(total, abs=5e-4 * scale)
-    assert abs(f.integral()) <= f.integral_abs() + 1e-12
-
-
-def test_integral_abs_examples():
-    assert PiecewiseLinearFn.zero().integral_abs() == 0.0
-    tent = PiecewiseLinearFn([0.0, 1.0], [-2.0], [0.0], 1.0)  # 1 - 2x
-    assert tent.integral_abs() == pytest.approx(0.5, abs=1e-15)
-    saw = PiecewiseLinearFn([0.0, 0.5, 1.0], [-2.0, -2.0], [0.0, 2.0], 1.0)
-    assert saw.integral_abs() == pytest.approx(1.0, abs=1e-15)
-    saw0 = PiecewiseLinearFn([0.0, 0.5, 1.0], [-2.0, -2.0], [0.0, 2.0], 0.0)
-    assert saw0.integral_abs() == pytest.approx(0.5, abs=1e-15)
-
-
-def test_integral_abs_refinement_invariant():
-    coarse = PiecewiseLinearFn([0.0, 0.5, 1.0], [-2.0, 3.0], [0.5, -1.0], 0.25)
-    fine = PiecewiseLinearFn(
-        [0.0, 0.2, 0.5, 0.7, 1.0],
-        [-2.0, -2.0, 3.0, 3.0],
-        [0.5, 0.0, -1.0, 0.0],
-        0.25,
-    )
-    assert fine.integral_abs() == pytest.approx(coarse.integral_abs(), abs=1e-15)
-    assert fine.integral() == pytest.approx(coarse.integral(), abs=1e-15)
+    assert h.slopes.tobytes() == np.where(mid_f >= mid_g, fs, gs).tobytes()
+    assert h.jumps.tobytes() == (np.maximum(fr, gr) - np.maximum(fl, gl))[:-1].tobytes()
+    assert h.anchor == np.maximum(fl, gl)[0]
 
 
 # ------------------------------------------------------ discrepancy profiles
@@ -266,9 +202,8 @@ def test_discrepancy_matches_counting(points, x):
     d = discrepancy_function(ps, n)
     if x in set(ps.points):
         return  # counting uses strict inequality; left limit differs at atoms
-    assert d.value(x) == pytest.approx(
-        counting_function(ps, n, x) - n * x, abs=1e-12
-    )
+    count = sum(p < x for p in ps.points[:n])
+    assert d.value(x) == pytest.approx(count - n * x, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -320,34 +255,3 @@ def test_star_discrepancy_brute_agreement(points):
     assert d == pytest.approx(brute_star(ps.points, len(ps)), abs=1e-12)
     assert 1.0 / (2 * len(ps)) - 1e-15 <= d <= 1.0
 
-
-# ----------------------------------------------------------- range integrals
-
-
-def test_plf_range_integral_examples():
-    assert plf_range_integral(make_point_set([0.5])) == pytest.approx(0.25, abs=1e-15)
-    assert plf_range_integral(make_point_set([0.5, 0.5])) == pytest.approx(
-        0.5, abs=1e-15
-    )
-
-
-def test_plf_range_integral_quadrature_cross_check():
-    # envelope of {0, D_1, D_2} for the doubled midpoint, integrated densely
-    ps = make_point_set([0.5, 0.5])
-    members = [lambda x: 0.0]
-    for n in (1, 2):
-        d = discrepancy_function(ps, n)
-        members.append(d.value)
-    xs = (np.arange(20000) + 0.5) / 20000
-    upper = np.max([[m(x) for x in xs] for m in members], axis=0)
-    lower = np.min([[m(x) for x in xs] for m in members], axis=0)
-    quad = float(np.mean(upper - lower))
-    assert plf_range_integral(ps) == pytest.approx(quad, abs=1e-9)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(0.0, 0.999), min_size=1, max_size=8))
-def test_plf_range_integral_dominates_final_profile(points):
-    ps = make_point_set(points)
-    d = discrepancy_function(ps, len(ps))
-    assert plf_range_integral(ps) >= d.integral_abs() - 1e-12

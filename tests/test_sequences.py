@@ -48,6 +48,28 @@ def test_van_der_corput_in_unit_interval(base, count):
     assert len(set(pts)) == count
 
 
+def _van_der_corput_loop(base, count):
+    # one radical inverse at a time: the reference for the vectorized version
+    out = []
+    for k in range(1, count + 1):
+        x, denom = 0.0, 1.0 / base
+        while k:
+            k, digit = divmod(k, base)
+            x += digit * denom
+            denom /= base
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 7, 10, 16])
+def test_van_der_corput_bitwise_equals_loop(base):
+    count = 20000
+    fast = van_der_corput(base, count).values
+    ref = np.array(_van_der_corput_loop(base, count))
+    assert fast.tobytes() == ref.tobytes()
+    assert van_der_corput(np.int64(base), 7).points == tuple(ref[:7])
+
+
 def test_van_der_corput_base2_full_blocks_fill_dyadic_grid():
     # radical inverse maps 1..2^k-1 onto {j/2^k : 1 <= j < 2^k} exactly
     for k in (2, 3, 4, 6):
@@ -148,6 +170,18 @@ def test_trajectory_file_roundtrip(tmp_path):
         assert a.N == b.N
         assert b.dstar == pytest.approx(a.dstar, rel=1e-8)
         assert b.running_max == pytest.approx(a.running_max, rel=1e-8)
+
+
+def test_trajectory_record_line(tmp_path):
+    recs = trajectory(van_der_corput(2, 3), "all")
+    assert [r.record() for r in recs] == [
+        "1,0.5,0.5,,0",
+        "2,0.5,1,1.44269504,1.44269504",  # 1 / ln 2
+        "3,0.25,0.75,0.68267942,1.44269504",
+    ]
+    path = tmp_path / "traj.txt"
+    write_trajectory(recs, path)
+    assert path.read_text().splitlines()[1:] == [r.record() for r in recs]
 
 
 def test_read_trajectory_rejects_malformed(tmp_path):
