@@ -15,10 +15,11 @@ strict variant with an explicit jump-location set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .bounds import _check_domain
 from .plf import PiecewiseLinearFn, PointSet, discrepancy_function
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "PropertyReport",
     "make_scale",
     "build_f",
+    "check_all",
     "check_properties",
     "check_bend_condition",
     "check_strict_admissibility",
@@ -70,12 +72,7 @@ class ScaleParams:
 
 def make_scale(a: float, t: int) -> ScaleParams:
     """Build ScaleParams for 3 <= a <= 3.7 and integer t >= 1."""
-    a = float(a)
-    if not 3.0 <= a <= 3.7:
-        raise ValueError(f"scale base a={a} outside [3, 3.7]")
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise ValueError(f"scale exponent t={t} must be a positive integer")
-    t = int(t)
+    a, t = _check_domain(a, t)
     N = math.floor(a**t)
     n0 = math.floor(a ** (t - 1))
     abs_s0 = a ** (t - 1) * (a - 2.0)
@@ -97,33 +94,46 @@ class Violation:
 
 @dataclass
 class PropertyReport:
-    """Per-property pass/fail with the first violation witness for each."""
+    """Per-property status ("pass", "fail" or "skipped"), with the first
+    violation witness of each failure and the reason of each skip."""
 
-    entries: list[tuple[str, bool, Violation | None]] = field(default_factory=list)
+    entries: list[tuple[str, str, Violation | str | None]] = field(default_factory=list)
 
     def add(self, prop: str, ok: bool, witness: Violation | None = None) -> None:
-        self.entries.append((prop, bool(ok), None if ok else witness))
+        self.entries.append((prop, "pass" if ok else "fail", None if ok else witness))
+
+    def skip(self, prop: str, reason: str) -> None:
+        self.entries.append((prop, "skipped", reason))
+
+    def extend(self, other: PropertyReport, prefix: str = "") -> None:
+        self.entries += [(prefix + name, *rest) for name, *rest in other.entries]
 
     @property
     def all_ok(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
+        return all(status != "fail" for _, status, _ in self.entries)
+
+    def _entry(self, prop: str) -> tuple[str, str, Violation | str | None]:
+        for entry in self.entries:
+            if entry[0] == prop:
+                return entry
+        raise KeyError(prop)
 
     def passed(self, prop: str) -> bool:
-        for name, ok, _ in self.entries:
-            if name == prop:
-                return ok
-        raise KeyError(prop)
+        return self._entry(prop)[1] == "pass"
 
     def witness(self, prop: str) -> Violation | None:
-        for name, ok, w in self.entries:
-            if name == prop:
-                return w
-        raise KeyError(prop)
+        _, status, w = self._entry(prop)
+        return w if status == "fail" else None
+
+    def records(self) -> list[str]:
+        return [f"{name},{status}" for name, status, _ in self.entries]
 
     def lines(self) -> list[str]:
         out = []
-        for name, ok, w in self.entries:
-            if ok:
+        for name, status, w in self.entries:
+            if status == "skipped":
+                out.append(f"{name}: skipped ({w})")
+            elif status == "pass":
                 out.append(f"{name}: pass")
             elif w is None:
                 out.append(f"{name}: FAIL")
@@ -292,6 +302,19 @@ def _backline_check(
     )
 
 
+def _fenced_backline(
+    f: PiecewiseLinearFn, fence: np.ndarray, x: float, threshold: float, s0: float
+) -> tuple[bool, Violation | None]:
+    """Back-line test around x between its neighbors in the sorted array
+    fence, which holds x.  Vacuously true when x is an end of the fence: no
+    room on one side, nothing to test.  Returns (ok, witness)."""
+    p = int(np.searchsorted(fence, x))
+    if p == 0 or p == fence.size - 1:
+        return True, None
+    ok, _fired, witness = _backline_check(f, float(fence[p - 1]), x, float(fence[p + 1]), threshold, s0)
+    return ok, witness
+
+
 def check_bend_condition(
     f: PiecewiseLinearFn, sc: ScaleParams, ps: PointSet, j: int
 ) -> PropertyReport:
@@ -315,16 +338,7 @@ def check_bend_condition(
     if f.jump_at(xj) <= JUMP_TOL:
         raise ValueError(f"no discontinuity at x_{j}={xj!r}")
     rep = PropertyReport()
-    prop = f"bend[j={j}]"
-    vals = ps.distinct_values
-    p = int(np.searchsorted(vals, xj))
-    if p == 0 or p == vals.size - 1:
-        # no distinct neighbor value on one side: nothing to test
-        rep.add(prop, True)
-        return rep
-    xl, xr = float(vals[p - 1]), float(vals[p + 1])
-    ok, _fired, witness = _backline_check(f, xl, xj, xr, sc.s0 - k, sc.s0)
-    rep.add(prop, ok, witness)
+    rep.add(f"bend[j={j}]", *_fenced_backline(f, ps.distinct_values, xj, sc.s0 - k, sc.s0))
     return rep
 
 
@@ -393,18 +407,17 @@ def check_strict_admissibility(
     rep = PropertyReport()
     sorted_gamma = np.array(sorted(gs.gamma))
 
-    ok_a: tuple[bool, Violation | None] = (True, None)
-    for k in range(g.jumps.size):
-        if g.jumps[k] > JUMP_TOL:
-            x = float(g.breakpoints[k])
-            p = int(np.searchsorted(sorted_gamma, x))
-            hit = (p < sorted_gamma.size and abs(sorted_gamma[p] - x) <= TOL) or (
-                p > 0 and abs(sorted_gamma[p - 1] - x) <= TOL
-            )
-            if not hit:
-                ok_a = (False, Violation(x, float(g.jumps[k]), 0.0, "jump outside gamma"))
-                break
-    rep.add("a", ok_a[0], ok_a[1])
+    for k in np.flatnonzero(g.jumps > JUMP_TOL):
+        x = float(g.breakpoints[k])
+        p = int(np.searchsorted(sorted_gamma, x))
+        hit = (p < sorted_gamma.size and abs(sorted_gamma[p] - x) <= TOL) or (
+            p > 0 and abs(sorted_gamma[p - 1] - x) <= TOL
+        )
+        if not hit:
+            rep.add("a", False, Violation(x, float(g.jumps[k]), 0.0, "jump outside gamma"))
+            break
+    else:
+        rep.add("a", True)
 
     unit = np.array(sorted(gs.gamma1))
     h = g.jumps_at(unit)
@@ -415,18 +428,40 @@ def check_strict_admissibility(
     else:
         rep.add("b", True)
 
-    ok_c: tuple[bool, Violation | None] = (True, None)
     fence = np.unique(np.concatenate([sorted_gamma, [0.0, 1.0]]))
     for n, xi in enumerate(gs.gamma2, start=1):
-        p = int(np.searchsorted(fence, xi))
-        lo = float(fence[p - 1]) if p > 0 else None
-        hi = float(fence[p + 1]) if p + 1 < fence.size else None
-        if lo is None or hi is None:
-            continue  # boundary location: no room on one side, nothing to test
-        ok, _fired, witness = _backline_check(g, lo, xi, hi, sc.s0 - n, sc.s0)
+        ok, w = _fenced_backline(g, fence, xi, sc.s0 - n, sc.s0)
         if not ok:
-            note = f"gamma2 index n={n}; {witness.note}" if witness else f"gamma2 index n={n}"
-            ok_c = (False, Violation(witness.where, witness.measured, witness.threshold, note))
+            rep.add("c", False, replace(w, note=f"gamma2 index n={n}; {w.note}"))
             break
-    rep.add("c", ok_c[0], ok_c[1])
+    else:
+        rep.add("c", True)
+    return rep
+
+
+def check_all(f: PiecewiseLinearFn, sc: ScaleParams, ps: PointSet) -> PropertyReport:
+    """The full admissibility suite of the comparison function f of ps.
+
+    In report order: properties (i)-(vi); continuity of f at x_1; the bend
+    condition at every eligible last-block index j, skipped ("no jump")
+    where f does not jump at x_j; the strict clauses as strict-a, strict-b
+    and strict-c, or one skipped "strict" entry when the canonical
+    jump-location sets do not exist (tied values, or a != 3).
+    """
+    rep = check_properties(f, sc, ps)
+    x1 = ps.points[0]
+    h1 = f.jump_at(x1)
+    rep.add("continuity[x1]", abs(h1) <= JUMP_TOL, Violation(x1, h1, 0.0))
+    last = range(sc.N - sc.n0 + 1, sc.N)
+    for j, h in zip(last, f.jumps_at(ps.values[sc.N - sc.n0 : sc.N - 1])):
+        if h <= JUMP_TOL:
+            rep.skip(f"bend[j={j}]", "no jump")
+        else:
+            rep.extend(check_bend_condition(f, sc, ps, j))
+    try:
+        gs = gamma_sets_from_points(ps, sc)
+    except ValueError as exc:
+        rep.skip("strict", str(exc))
+    else:
+        rep.extend(check_strict_admissibility(f, sc, gs), prefix="strict-")
     return rep

@@ -61,16 +61,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def make_point_set(values: Sequence[float] | Iterable[float]) -> PointSet:
     """Validate and wrap a sequence of reals as a PointSet.
 
-    Rejects empty input and any value outside [0, 1), naming the offending
-    index.
+    Rejects empty input and any value outside [0, 1) (NaN included), naming
+    the first offending index.
     """
-    vals = tuple(float(v) for v in values)
-    if not vals:
+    arr = np.fromiter(values, dtype=float)
+    if not arr.size:
         raise ValueError("point set must contain at least one value")
-    for i, v in enumerate(vals):
-        if not (0.0 <= v < 1.0):
-            raise ValueError(f"point at index {i} outside [0, 1): {v!r}")
-    return PointSet(vals)
+    bad = np.flatnonzero(~((arr >= 0.0) & (arr < 1.0)))  # NaN compares false
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"point at index {i} outside [0, 1): {float(arr[i])!r}")
+    return PointSet(tuple(arr.tolist()))
 
 
 def read_point_file(path: str | Path) -> PointSet:

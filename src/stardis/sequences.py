@@ -18,6 +18,7 @@ __all__ = [
     "TrajectoryRecord",
     "van_der_corput",
     "kronecker",
+    "checkpoints",
     "trajectory",
     "write_trajectory",
     "read_trajectory",
@@ -71,7 +72,9 @@ class TrajectoryRecord:
         return f"{self.N},{self.dstar:.9g},{self.scaled:.9g},{norm},{self.running_max:.9g}"
 
 
-def _resolve_stride(stride, total: int) -> list[int]:
+def checkpoints(stride, total: int) -> list[int]:
+    """The prefix lengths that a stride policy (see :func:`trajectory`)
+    selects from a sequence of total points."""
     if isinstance(stride, str):
         if stride == "all":
             return list(range(1, total + 1))
@@ -105,7 +108,7 @@ def trajectory(ps: PointSet, stride="dyadic") -> list[TrajectoryRecord]:
         raise ValueError("trajectory needs at least 2 points")
     records: list[TrajectoryRecord] = []
     running = 0.0
-    for n in _resolve_stride(stride, len(ps)):
+    for n in checkpoints(stride, len(ps)):
         d = star_discrepancy(ps, n)
         normalized = n * d / math.log(n) if n > 1 else None
         if normalized is not None:

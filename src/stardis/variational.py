@@ -167,6 +167,7 @@ def _project_weighted(y: np.ndarray, g: np.ndarray, rhs: float) -> np.ndarray:
 
     Solution is max(y - mu*g, 0); the correct mu is found by sorting the
     ratios y/g and solving the affine equation on the bracketing interval.
+    Raises RuntimeError when no interval brackets mu (a NaN in y does that).
     """
     r = y / g
     order = np.argsort(r)
@@ -180,16 +181,8 @@ def _project_weighted(y: np.ndarray, g: np.ndarray, rhs: float) -> np.ndarray:
     lower = np.concatenate(([-math.inf], rs[:-1]))
     ok = (mu <= rs + eps) & (mu >= lower - eps)
     idx = np.flatnonzero(ok)
-    if idx.size == 0:  # numerically ambiguous bracket: fall back to bisection
-        lo, hi = float(rs[0]) - 1.0, float(rs[-1])
-        h = lambda m: float(g @ np.maximum(y - m * g, 0.0)) - rhs
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if h(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return np.maximum(y - 0.5 * (lo + hi) * g, 0.0)
+    if idx.size == 0:
+        raise RuntimeError("projection multiplier has no bracketing interval")
     return np.maximum(y - float(mu[idx[0]]) * g, 0.0)
 
 

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stardis.admissibility import (
+    JUMP_TOL,
+    PropertyReport,
+    Violation,
+    _fenced_backline,
     build_f,
+    check_all,
     check_bend_condition,
     check_properties,
     check_strict_admissibility,
@@ -49,9 +54,9 @@ def test_make_scale_non_integer_base():
 
 
 def test_make_scale_domain():
-    with pytest.raises(ValueError, match="3, 3.7"):
+    with pytest.raises(ValueError, match=r"outside \[3\.0, 3\.7\]"):
         make_scale(2.9, 2)
-    with pytest.raises(ValueError, match="3, 3.7"):
+    with pytest.raises(ValueError, match=r"outside \[3\.0, 3\.7\]"):
         make_scale(3.8, 2)
     with pytest.raises(ValueError):
         make_scale(3.0, 0)
@@ -115,7 +120,7 @@ def test_check_properties_random_sets_pass():
     for _ in range(150):
         ps = make_point_set(rng.random(sc.N))
         f = build_f(ps, sc)
-        rep = check_properties(f, sc, ps)
+        rep = check_all(f, sc, ps)
         assert rep.all_ok, rep.lines()
         assert abs(f.jump_at(ps.points[0])) <= 1e-12  # continuity at x_1
 
@@ -431,3 +436,70 @@ def test_strict_admissibility_requires_integer_exact_scale():
     )
     with pytest.raises(ValueError, match="integer-exact"):
         check_strict_admissibility(f, sc, fake)
+
+
+# -------------------------------------------------------------- full suite
+
+
+def test_check_all_order_and_statuses():
+    sc = make_scale(3.0, 3)  # eligible bend indices 19..26
+    ps = make_point_set(np.random.default_rng(0).random(sc.N))
+    f = build_f(ps, sc)
+    rep = check_all(f, sc, ps)
+    heads = [name for name, _, _ in rep.entries]
+    assert heads == (
+        ["i", "ii", "iii", "iv", "v", "vi", "continuity[x1]"]
+        + [f"bend[j={j}]" for j in range(19, 27)]
+        + ["strict-a", "strict-b", "strict-c"]
+    )
+    assert rep.all_ok
+    for j in range(19, 27):
+        skipped = f.jump_at(ps.points[j - 1]) <= JUMP_TOL
+        assert (f"bend[j={j}]: skipped (no jump)" in rep.lines()) == skipped
+        assert rep.passed(f"bend[j={j}]") != skipped
+    assert rep.records() == [f"{name},{status}" for name, status, _ in rep.entries]
+    assert "skipped" in {status for _, status, _ in rep.entries}
+
+
+def test_check_all_tied_input_fails_continuity_and_skips_strict():
+    sc = make_scale(3.0, 2)
+    ps = make_point_set([0.5] * 9)
+    f = build_f(ps, sc)
+    rep = check_all(f, sc, ps)
+    assert not rep.all_ok
+    w = rep.witness("continuity[x1]")
+    assert (w.where, w.measured, w.threshold) == (0.5, f.jump_at(0.5), 0.0)
+    assert rep.lines()[-1] == "strict: skipped (point values must be pairwise distinct)"
+    assert rep.records()[-1] == "strict,skipped"
+    assert "continuity[x1],fail" in rep.records()
+
+
+def test_report_skip_is_neither_pass_nor_fail():
+    rep = PropertyReport()
+    rep.add("x", True)
+    rep.skip("y", "no jump")
+    assert rep.all_ok
+    assert rep.passed("x") and not rep.passed("y")
+    assert rep.witness("y") is None
+    other = PropertyReport()
+    other.add("a", False, Violation(0.25, -1.0, 0.0))
+    rep.extend(other, prefix="strict-")
+    assert not rep.all_ok
+    assert rep.records() == ["x,pass", "y,skipped", "strict-a,fail"]
+    assert rep.lines()[:2] == ["x: pass", "y: skipped (no jump)"]
+    assert rep.lines()[2].startswith("strict-a: FAIL at x=0.25, measured -1")
+
+
+def test_fenced_backline_vacuous_at_fence_end():
+    # the failing bend of test_bend_condition_detects_violation: between
+    # 0.6 and 0.8 it fails; with 0.7 at the end of the fence nothing is tested
+    g = PiecewiseLinearFn(
+        [0.0, 0.6, 0.7, 0.8, 1.0],
+        [0.0, -9.0, -3.5, 0.0],
+        [0.0, 0.0, 0.5, 0.0],
+        2.0,
+    )
+    ok, w = _fenced_backline(g, np.array([0.6, 0.7, 0.8]), 0.7, -4.0, -3.0)
+    assert not ok and 0.6 <= w.where <= 0.7
+    assert _fenced_backline(g, np.array([0.6, 0.7]), 0.7, -4.0, -3.0) == (True, None)
+    assert _fenced_backline(g, np.array([0.7, 0.8]), 0.7, -4.0, -3.0) == (True, None)

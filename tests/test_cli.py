@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stardis.cli import CHECK_MAX_T, QP_MAX_T, SEQUENCE_MAX_COUNT, main
+from stardis.cli import CHECK_MAX_T, QP_MAX_T, SEQUENCE_MAX_COUNT, SEQUENCE_MAX_WORK, main
 
 
 def run(capsys, *argv):
@@ -216,6 +216,7 @@ def test_check_t_above_cap_exits_2(capsys):
 def test_check_domain_error_exits_2(capsys):
     code, _, err = run(capsys, "check", "--seed", "1", "--a", "2.9", "--t", "2")
     assert code == 2
+    assert err == "error: base a=2.9 outside [3.0, 3.7]\n"  # the bounds wording
 
 
 # ------------------------------------------------------------------------ qp
@@ -330,6 +331,21 @@ def test_sequence_count_above_cap_exits_2(capsys, tmp_path, kind):
     )
     assert code == 2
     assert out == "" and "limit 1000000" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("stride", ["all", ",".join(map(str, range(1, 20_002)))])
+def test_sequence_checkpoint_work_above_cap_exits_2(capsys, tmp_path, stride):
+    # 1 + 2 + ... + 20 001 prefix points, one checkpoint's worth above the
+    # cap; an explicit list counts like --stride all
+    target = tmp_path / "t.txt"
+    assert SEQUENCE_MAX_WORK == 20_000 * 20_001 // 2
+    code, out, err = run(
+        capsys, "sequence", "vdc", "--count", "20001", "--stride", stride,
+        "--output", str(target),
+    )
+    assert code == 2
+    assert out == "" and f"200030001 prefix points, above the sequence limit {SEQUENCE_MAX_WORK}" in err
     assert not target.exists()
 
 

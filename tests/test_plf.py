@@ -38,6 +38,34 @@ def test_make_point_set_rejects_out_of_range_with_index():
         make_point_set([-0.1, 0.5])
 
 
+def test_make_point_set_names_first_of_several_bad_indices():
+    with pytest.raises(ValueError, match=r"index 2 outside \[0, 1\): nan$"):
+        make_point_set([0.5, 0.25, float("nan"), 1.5, -1.0])
+    with pytest.raises(ValueError, match=r"index 1 outside \[0, 1\): 1\.0$"):
+        make_point_set(np.array([0.0, 1.0, 2.0, 0.5, -0.5]))
+    with pytest.raises(ValueError, match=r"index 3 outside \[0, 1\): -1e-300$"):
+        make_point_set(x for x in (0.1, 0.2, 0.3, -1e-300, 7.0))
+
+
+def _make_point_set_loop(values):
+    """The per-value loop make_point_set replaced: points, or the error text."""
+    vals = tuple(float(v) for v in values)
+    for i, v in enumerate(vals):
+        if not (0.0 <= v < 1.0):
+            return f"point at index {i} outside [0, 1): {v!r}"
+    return vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 1.0), st.floats()), min_size=1, max_size=12))
+def test_make_point_set_matches_loop_reference(values):
+    try:
+        got = make_point_set(values).points
+    except ValueError as exc:
+        got = str(exc)
+    assert repr(got) == repr(_make_point_set_loop(values))
+
+
 def test_point_file_roundtrip(tmp_path):
     ps = make_point_set([0.125, 0.6180339887498949, 0.0])
     path = tmp_path / "pts.txt"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from stardis.plf import make_point_set, star_discrepancy
 from stardis.sequences import (
     GOLDEN_MEAN_FRAC,
+    checkpoints,
     kronecker,
     read_trajectory,
     trajectory,
@@ -134,6 +135,16 @@ def test_trajectory_dyadic_checkpoints():
     assert [r.N for r in recs] == [2, 4, 8, 16, 32, 64, 100]
     recs = trajectory(van_der_corput(2, 64), "dyadic")
     assert [r.N for r in recs] == [2, 4, 8, 16, 32, 64]  # no duplicate final N
+
+
+def test_checkpoints_match_trajectory_lengths():
+    # the CLI sums these before any point exists, to bound a run's work
+    assert checkpoints("all", 4) == [1, 2, 3, 4]
+    assert checkpoints("dyadic", 20) == [2, 4, 8, 16, 20]
+    assert checkpoints([3, 9], 10) == [3, 9]
+    ps = van_der_corput(3, 40)
+    for stride in ("all", "dyadic", [5, 17, 40]):
+        assert [r.N for r in trajectory(ps, stride)] == checkpoints(stride, 40)
 
 
 def test_trajectory_custom_stride():

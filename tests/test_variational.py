@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stardis.bounds import _lam, chi_bounds, strict_bound
 from stardis.variational import (
+    _project_weighted,
     per_interval_bound,
     q2_shape_sweep,
     qp_gap_report,
@@ -258,6 +259,16 @@ def test_qp_validation():
         solve_profile_qp(4.0, 3)
     with pytest.raises(ValueError):
         solve_profile_qp(3.0, 0)
+
+
+def test_projection_without_bracket_raises():
+    g = np.array([1.0, 2.0, 0.5])
+    x = _project_weighted(np.array([0.3, -0.2, 0.9]), g, 1.0)
+    assert x.min() >= 0.0 and float(g @ x) == pytest.approx(1.0, abs=1e-15)
+    # a NaN leaves no bracketing interval for the multiplier; this used to
+    # fall back silently to a bisection that returned NaN
+    with pytest.raises(RuntimeError, match="bracket"):
+        _project_weighted(np.array([0.3, math.nan, 0.9]), g, 1.0)
 
 
 def test_qp_t1_has_no_last_block():
