@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import _check_domain
-from .plf import PiecewiseLinearFn, PointSet, discrepancy_function
+from .plf import PiecewiseLinearFn, PointSet, discrepancy_function, upper_envelope
 
 __all__ = [
     "ScaleParams",
@@ -147,12 +147,14 @@ class PropertyReport:
 
 
 def _envelope_max(ps: PointSet, indices: range) -> PiecewiseLinearFn:
-    env: PiecewiseLinearFn | None = None
-    for n in indices:
-        d = discrepancy_function(ps, n)
-        env = d if env is None else env.maximum(d)
-    assert env is not None
-    return env
+    """max over n in indices of D_n, merged in index order.
+
+    ``upper_envelope`` keeps the running envelope as arrays: each merge adds
+    the new prefix point and the crossings to the grid and runs the
+    constructor's checks, and only the block's envelope becomes a PLF.  Each
+    D_n comes from ``discrepancy_function``, once per index.
+    """
+    return upper_envelope(discrepancy_function(ps, n) for n in indices)
 
 
 def build_f(ps: PointSet, sc: ScaleParams) -> PiecewiseLinearFn:
@@ -407,15 +409,17 @@ def check_strict_admissibility(
     rep = PropertyReport()
     sorted_gamma = np.array(sorted(gs.gamma))
 
-    for k in np.flatnonzero(g.jumps > JUMP_TOL):
-        x = float(g.breakpoints[k])
-        p = int(np.searchsorted(sorted_gamma, x))
-        hit = (p < sorted_gamma.size and abs(sorted_gamma[p] - x) <= TOL) or (
-            p > 0 and abs(sorted_gamma[p - 1] - x) <= TOL
-        )
-        if not hit:
-            rep.add("a", False, Violation(x, float(g.jumps[k]), 0.0, "jump outside gamma"))
-            break
+    # a jump is in gamma when the gamma location just above or below it is
+    # within TOL; the first jump that misses both is the witness
+    k = np.flatnonzero(g.jumps > JUMP_TOL)
+    x = g.breakpoints[k]
+    p = np.searchsorted(sorted_gamma, x)
+    above = np.abs(sorted_gamma[np.minimum(p, sorted_gamma.size - 1)] - x) <= TOL
+    below = np.abs(sorted_gamma[np.maximum(p - 1, 0)] - x) <= TOL
+    miss = np.flatnonzero(~((above & (p < sorted_gamma.size)) | (below & (p > 0))))
+    if miss.size:
+        i = miss[0]
+        rep.add("a", False, Violation(float(x[i]), float(g.jumps[k[i]]), 0.0, "jump outside gamma"))
     else:
         rep.add("a", True)
 

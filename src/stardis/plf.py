@@ -21,6 +21,7 @@ __all__ = [
     "PiecewiseLinearFn",
     "make_point_set",
     "discrepancy_function",
+    "upper_envelope",
     "star_discrepancy",
     "read_point_file",
     "write_point_file",
@@ -32,9 +33,9 @@ class PointSet:
 
     Order matters: the first n entries define the length-n prefix used by
     discrepancy functions.  ``points`` keeps the Python floats
-    (files and witnesses print their reprs); ``values`` and
-    ``distinct_values`` are float64 arrays built once on first use and
-    marked read-only, so every caller shares them without copying.
+    (files and witnesses print their reprs); ``values``, ``sort_order`` and
+    ``distinct_values`` are arrays built once on first use and marked
+    read-only, so every caller shares them without copying.
     """
 
     points: tuple[float, ...]
@@ -46,6 +47,12 @@ class PointSet:
     def values(self) -> np.ndarray:
         """The points as a read-only float64 array, in sequence order."""
         return _frozen(np.array(self.points, dtype=float))
+
+    @cached_property
+    def sort_order(self) -> np.ndarray:
+        """Stable argsort of ``values``: the indices below n, in this order,
+        list the length-n prefix sorted."""
+        return _frozen(np.argsort(self.values, kind="stable"))
 
     @cached_property
     def distinct_values(self) -> np.ndarray:
@@ -71,7 +78,11 @@ def make_point_set(values: Sequence[float] | Iterable[float]) -> PointSet:
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"point at index {i} outside [0, 1): {float(arr[i])!r}")
-    return PointSet(tuple(arr.tolist()))
+    ps = PointSet(tuple(arr.tolist()))
+    # seed the values cache with the checked array; np.fromiter copied the
+    # input, so the cache aliases no caller array
+    ps.__dict__["values"] = _frozen(arr)
+    return ps
 
 
 def read_point_file(path: str | Path) -> PointSet:
@@ -118,29 +129,11 @@ class PiecewiseLinearFn:
         bp = np.asarray(breakpoints, dtype=float)
         sl = np.asarray(slopes, dtype=float)
         jp = np.asarray(jumps, dtype=float)
-        if bp.ndim != 1 or bp.size < 2:
-            raise ValueError("need at least breakpoints [0, 1]")
-        if bp[0] != 0.0 or bp[-1] != 1.0:
-            raise ValueError("breakpoints must start at 0 and end at 1")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        m = bp.size - 1
-        if sl.size != m:
-            raise ValueError(f"expected {m} segment slopes, got {sl.size}")
-        if jp.size != m:
-            raise ValueError(f"expected {m} jumps (one per breakpoint below 1), got {jp.size}")
-        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(sl)) and np.all(np.isfinite(jp)) and math.isfinite(anchor)):
-            raise ValueError("non-finite data in piecewise-linear function")
+        self._left_values = _checked_left_values(bp, sl, jp, anchor)
         self.breakpoints = bp
         self.slopes = sl
         self.jumps = jp
         self.anchor = float(anchor)
-        # left-limit values at every breakpoint, cumulative over segments
-        vals = np.empty(m + 1)
-        vals[0] = anchor
-        np.cumsum(jp + sl * np.diff(bp), out=vals[1:])
-        vals[1:] += anchor
-        self._left_values = vals
 
     # -- basic accessors -------------------------------------------------
 
@@ -148,6 +141,10 @@ class PiecewiseLinearFn:
     def left_values(self) -> np.ndarray:
         """f(b_k) for every breakpoint (left limits)."""
         return self._left_values
+
+    @property
+    def _parts(self) -> _Parts:
+        return self.breakpoints, self._left_values, self.jumps, self.slopes
 
     def value(self, x: float) -> float:
         """Evaluate with the left-continuity convention."""
@@ -179,82 +176,200 @@ class PiecewiseLinearFn:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _resample(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(left values, right limits, slopes) of self on a superset grid.
+    def _binary(self, other: PiecewiseLinearFn, op) -> PiecewiseLinearFn:
+        grid, (fl, fr, fs), (gl, gr, gs) = _on_union(self._parts, other._parts)
+        left = op(fl, gl)
+        return PiecewiseLinearFn(grid, op(fs, gs), op(fr, gr) - left[:-1], float(left[0]))
 
-        ``grid`` must contain all of self's breakpoints plus possibly more;
-        returns arrays aligned with grid (slopes per segment).
-        """
-        bp = self.breakpoints
-        # grid <= 1 = bp[-1], so idx never runs past the last breakpoint
-        idx = np.searchsorted(bp, grid, side="left")
-        own = bp[idx] == grid
-        # segment of self containing each grid point (for interpolation)
-        seg = np.maximum(idx, 1) - 1
-        left = self._left_values[seg] + self.jumps[seg] + self.slopes[seg] * (grid - bp[seg])
-        left = np.where(own, self._left_values[idx], left)
-        left[0] = self.anchor
-        jumps = np.where(own & (grid < 1.0), self.jumps[np.minimum(idx, self.jumps.size - 1)], 0.0)
-        right = left + jumps
-        # slope on (grid[k-1], grid[k]] is self's slope of the covering segment
-        slopes = self.slopes[seg[1:]]
-        return left, right, slopes
+    def __add__(self, other: PiecewiseLinearFn) -> PiecewiseLinearFn:
+        return self._binary(other, np.add)
 
-    def _binary(self, other: "PiecewiseLinearFn", op: str) -> "PiecewiseLinearFn":
-        grid = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
-        fl, fr, fs = self._resample(grid)
-        gl, gr, gs = other._resample(grid)
-        if op == "add":
-            left, right, slopes = fl + gl, fr + gr, fs + gs
-        elif op == "sub":
-            left, right, slopes = fl - gl, fr - gr, fs - gs
-        else:
-            # insert strict interior crossings so each segment is one branch
-            d0 = fr[:-1] - gr[:-1]
-            d1 = fl[1:] - gl[1:]
-            cross = np.flatnonzero((d0 > 0) != (d1 > 0))
-            cross = cross[(d0[cross] != 0.0) & (d1[cross] != 0.0)]
-            if cross.size:
-                u, v = grid[cross], grid[cross + 1]
-                xc = u + d0[cross] * (v - u) / (d0[cross] - d1[cross])
-                keep = (xc > u) & (xc < v)
-                if keep.any():  # else the grid, and so each array, stands
-                    grid = np.unique(np.concatenate([grid, xc[keep]]))
-                    fl, fr, fs = self._resample(grid)
-                    gl, gr, gs = other._resample(grid)
-            left, right = np.maximum(fl, gl), np.maximum(fr, gr)
-            # branch taken on each segment decides the slope: compare midpoints
-            half = np.diff(grid) / 2
-            mid_f = fr[:-1] + fs * half
-            mid_g = gr[:-1] + gs * half
-            slopes = np.where(mid_f >= mid_g, fs, gs)
-        jumps = (right - left)[:-1]
-        return PiecewiseLinearFn(grid, slopes, jumps, float(left[0]))
+    def __sub__(self, other: PiecewiseLinearFn) -> PiecewiseLinearFn:
+        return self._binary(other, np.subtract)
 
-    def __add__(self, other: "PiecewiseLinearFn") -> "PiecewiseLinearFn":
-        return self._binary(other, "add")
+    def maximum(self, other: PiecewiseLinearFn) -> PiecewiseLinearFn:
+        """Pointwise maximum; every strict crossing becomes a breakpoint."""
+        return PiecewiseLinearFn(*_max_merge(self._parts, other._parts))
 
-    def __sub__(self, other: "PiecewiseLinearFn") -> "PiecewiseLinearFn":
-        return self._binary(other, "sub")
 
-    def maximum(self, other: "PiecewiseLinearFn") -> "PiecewiseLinearFn":
-        return self._binary(other, "max")
+# A PLF as the arrays (breakpoints, left values, jumps, slopes); the anchor is
+# the first left value.
+_Parts = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# A PLF on a grid: (left values at every grid point, right limits at every
+# grid point below 1, slope on every grid segment).
+_OnGrid = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _checked_left_values(bp: np.ndarray, sl: np.ndarray, jp: np.ndarray, anchor: float) -> np.ndarray:
+    """Validate a PLF's structure and return its left limits f(b_k), summed
+    segment by segment from the anchor.  Every PLF, and every intermediate
+    envelope of :func:`upper_envelope`, passes through here."""
+    if bp.ndim != 1 or bp.size < 2:
+        raise ValueError("need at least breakpoints [0, 1]")
+    if bp[0] != 0.0 or bp[-1] != 1.0:
+        raise ValueError("breakpoints must start at 0 and end at 1")
+    steps = bp[1:] - bp[:-1]
+    if (steps <= 0).any():
+        raise ValueError("breakpoints must be strictly increasing")
+    m = bp.size - 1
+    if sl.size != m:
+        raise ValueError(f"expected {m} segment slopes, got {sl.size}")
+    if jp.size != m:
+        raise ValueError(f"expected {m} jumps (one per breakpoint below 1), got {jp.size}")
+    if not (np.isfinite(bp).all() and np.isfinite(sl).all() and np.isfinite(jp).all() and math.isfinite(anchor)):
+        raise ValueError("non-finite data in piecewise-linear function")
+    vals = np.empty(m + 1)
+    vals[0] = anchor
+    np.cumsum(jp + sl * steps, out=vals[1:])
+    vals[1:] += anchor
+    return vals
+
+
+def _on_union(f: _Parts, g: _Parts) -> tuple[np.ndarray, _OnGrid, _OnGrid]:
+    """The merged breakpoint grid of f and g, and each function on it.
+
+    The grid is f's breakpoints with g's missing ones inserted, so f is
+    spread (cheap when g adds few points, as a new D_n adds one point to a
+    running envelope) and g is sampled.
+    """
+    idx = f[0].searchsorted(g[0])  # every point <= 1 = f's last, so idx indexes f
+    fresh = f[0][idx] != g[0]  # g's points that f lacks
+    pos = idx + fresh.cumsum() - fresh  # grid position of each of g's points
+    before, x = idx[fresh], g[0][fresh]
+    grid = _insert(f[0], before, x)
+    return grid, _spread(f, before, x), _sample(g, grid, pos)
+
+
+def _affine(fn: _Parts, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """fn at points x inside its segments k, off its breakpoints."""
+    bp, lv, jp, sl = fn
+    return lv[k] + jp[k] + sl[k] * (x - bp[k])
+
+
+def _spread(fn: _Parts, before: np.ndarray, x: np.ndarray) -> _OnGrid:
+    """fn on its breakpoints plus the points x, none of them breakpoints,
+    inserted before its breakpoints ``before``; fn is affine across each."""
+    bp, lv, jp, sl = fn
+    k = before - 1  # fn's segment holding each point
+    xl = _affine(fn, k, x)
+    # off the breakpoints the right limit is left + 0.0, as on a full grid
+    return _insert(lv, before, xl), _insert(lv[:-1] + jp, before, xl + 0.0), _insert(sl, before, sl[k])
+
+
+def _sample(fn: _Parts, grid: np.ndarray, pos: np.ndarray) -> _OnGrid:
+    """fn on grid, a superset of its breakpoints, which sit at the grid
+    positions ``pos``.  Only the other grid points are interpolated."""
+    bp, lv, jp, sl = fn
+    seg = np.repeat(np.arange(pos.size - 1), pos[1:] - pos[:-1])  # fn's segment under each grid segment
+    off = np.ones(grid.size, dtype=bool)
+    off[pos] = False
+    off = off.nonzero()[0]  # grid positions off fn's breakpoints
+    left = np.empty(grid.size)
+    left[pos] = lv
+    left[off] = _affine(fn, seg[off], grid[off])
+    jumps = np.zeros(grid.size - 1)
+    jumps[pos[:-1]] = jp
+    return left, left[:-1] + jumps, sl[seg]
+
+
+def _insert(arr: np.ndarray, before: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """A copy of arr with new[i] inserted before arr[before[i]] (before sorted).
+
+    A merge in an envelope fold inserts a handful of points, where joining
+    slices beats ``np.insert``'s fixed cost; many points go to ``np.insert``.
+    """
+    if before.size > 16:
+        return np.insert(arr, before, new)
+    pieces, start = [], 0
+    for i, stop in enumerate(before.tolist()):
+        pieces += arr[start:stop], new[i : i + 1]
+        start = stop
+    pieces.append(arr[start:])
+    return np.concatenate(pieces)
+
+
+def _max_merge(f: _Parts, g: _Parts) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Pointwise maximum of f and g as (breakpoints, slopes, jumps, anchor).
+
+    The grid is the union of both breakpoint sets plus every strict interior
+    crossing, so each segment follows one branch, chosen at its midpoint.
+    """
+    grid, (fl, fr, fs), (gl, gr, gs) = _on_union(f, g)
+    half = (grid[1:] - grid[:-1]) / 2
+    slopes = np.where(fr + fs * half >= gr + gs * half, fs, gs)
+    jumps = np.maximum(fr, gr) - np.maximum(fl[:-1], gl[:-1])
+    anchor = float(np.maximum(fl[0], gl[0]))
+    # a strict interior crossing splits its segment into one piece per branch
+    d0 = fr - gr
+    d1 = fl[1:] - gl[1:]
+    cross = np.flatnonzero(np.sign(d0) * np.sign(d1) < 0)  # strict sign change
+    if cross.size:
+        u, v, d0 = grid[cross], grid[cross + 1], d0[cross]
+        xc = u + d0 * (v - u) / (d0 - d1[cross])
+        keep = (xc > u) & (xc < v)
+        if keep.any():
+            k, x = cross[keep], xc[keep]
+            u, v, fk, gk = u[keep], v[keep], fs[k], gs[k]
+            # neither function jumps at x: the right limits are left + 0.0
+            fx = _affine(f, f[0].searchsorted(x) - 1, x)
+            gx = _affine(g, g[0].searchsorted(x) - 1, x)
+            frx, grx = fx + 0.0, gx + 0.0
+            half = (x - u) / 2
+            slopes[k] = np.where(fr[k] + fk * half >= gr[k] + gk * half, fk, gk)
+            half = (v - x) / 2
+            split = np.where(frx + fk * half >= grx + gk * half, fk, gk)
+            grid = _insert(grid, k + 1, x)
+            slopes = _insert(slopes, k + 1, split)
+            jumps = _insert(jumps, k + 1, np.maximum(frx, grx) - np.maximum(fx, gx))
+    return grid, slopes, jumps, anchor
+
+
+def upper_envelope(fns: Iterable[PiecewiseLinearFn]) -> PiecewiseLinearFn:
+    """Pointwise maximum of fns, folded left to right.
+
+    Bit for bit ``functools.reduce(PiecewiseLinearFn.maximum, fns)``: every
+    merge is :meth:`PiecewiseLinearFn.maximum`'s kernel and its result passes
+    the constructor's checks, but the running envelope stays as arrays and
+    only the final one becomes a PiecewiseLinearFn.
+    """
+    env: _Parts | None = None
+    for fn in fns:
+        if env is None:
+            env = fn._parts
+            continue
+        grid, slopes, jumps, anchor = _max_merge(env, fn._parts)
+        env = grid, _checked_left_values(grid, slopes, jumps, anchor), jumps, slopes
+    if env is None:
+        raise ValueError("upper envelope of no functions")
+    bp, lv, jp, sl = env
+    return PiecewiseLinearFn(bp, sl, jp, lv[0])
 
 
 def discrepancy_function(ps: PointSet, n: int) -> PiecewiseLinearFn:
     """D_n(x) = #{i <= n : x_i < x} - n*x as an exact PiecewiseLinearFn.
 
     Slope -n everywhere, a unit jump at each prefix point (heights summed at
-    coincident values), value at a jump point equal to the left limit.
+    coincident values), value at a jump point equal to the left limit.  The
+    sorted prefix comes from the point set's cached stable sort order, so no
+    call sorts.
     """
     if not 1 <= n <= len(ps):
         raise ValueError(f"prefix length n={n} out of range 1..{len(ps)}")
-    locs, counts = np.unique(ps.values[:n], return_counts=True)
-    interior = locs > 0.0
-    bp = np.concatenate([[0.0], locs[interior], [1.0]])
-    jumps = np.zeros(bp.size - 1)
-    jumps[0] = counts[~interior].sum() if np.any(~interior) else 0.0
-    jumps[1:] = counts[interior]
+    order = ps.sort_order
+    prefix = ps.values[order[order < n]]  # the first n points, sorted
+    edge = np.empty(n + 1, dtype=bool)  # first of each run of equal values
+    edge[0] = edge[n] = True
+    np.not_equal(prefix[1:], prefix[:-1], out=edge[1:n])
+    edges = edge.nonzero()[0]
+    locs = prefix[edges[:-1]]
+    counts = edges[1:] - edges[:-1]
+    zero = int(locs[0] == 0.0)  # only the smallest value can sit at 0
+    bp = np.empty(locs.size + 2 - zero)
+    bp[0], bp[-1] = 0.0, 1.0
+    bp[1:-1] = locs[zero:]
+    jumps = np.empty(bp.size - 1)
+    jumps[0] = counts[0] if zero else 0
+    jumps[1:] = counts[zero:]
     slopes = np.full(bp.size - 1, -float(n))
     return PiecewiseLinearFn(bp, slopes, jumps, 0.0)
 

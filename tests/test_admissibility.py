@@ -397,6 +397,26 @@ def test_strict_admissibility_flags_jump_outside_gamma():
     assert rep.witness("a").where == pytest.approx(0.9876543)
 
 
+def test_strict_admissibility_witness_is_first_jump_outside_gamma():
+    # two jumps off gamma sit right of f's jumps in gamma, and one jump within
+    # TOL of a gamma location counts as in gamma: the witness is the leftmost
+    # jump that misses
+    sc = make_scale(3.0, 2)
+    ps = make_point_set(np.random.default_rng(4).random(9))
+    f = build_f(ps, sc)
+    gs = gamma_sets_from_points(ps, sc)
+    locs = sorted(gs.gamma)
+    near = locs[-2] + 5e-13
+    off = [(locs[-2] + locs[-1]) / 2, (locs[-1] + 1.0) / 2]
+    spikes = PiecewiseLinearFn([0.0, near, *off, 1.0], [0.0] * 4, [0.0, 0.25, 0.5, 0.75], 0.0)
+    g = f + spikes
+    assert np.count_nonzero(g.jumps[g.breakpoints[:-1] < off[0]] > JUMP_TOL) >= 5
+    rep = check_strict_admissibility(g, sc, gs)
+    w = rep.witness("a")
+    assert w.where == off[0]
+    assert w.measured == pytest.approx(0.5)
+
+
 def test_strict_admissibility_flags_short_jump():
     sc = make_scale(3.0, 2)
     ps = make_point_set(np.random.default_rng(4).random(9))

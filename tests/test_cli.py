@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,25 @@ def test_check_t7_golden_verdicts(capsys):
     assert len(expected) == 738
     assert code == 0
     assert out.splitlines() == expected
+
+
+@pytest.mark.slow
+def test_check_t8_golden_verdicts(capsys):
+    # N = 6561 points at the CHECK_MAX_T cap.  Property (i) fails: f(1) comes
+    # out 2.2e-12, float drift of the envelope sums past the fixed 1e-12
+    # tolerance, not a property of f.  Every other line passes or is a bend
+    # skipped for want of a jump; the digest pins the whole report.
+    code, out, _ = run(
+        capsys, "check", "--a", "3", "--t", "8", "--seed", "0", "--format", "records"
+    )
+    lines = out.splitlines()
+    assert code == 1
+    assert len(lines) == 2196
+    assert [line for line in lines if not line.endswith((",pass", ",skipped"))] == ["i,fail"]
+    assert sum(line.endswith(",skipped") for line in lines) == 267
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9264024ae7e19b875b2ecb4308fa96ec87e15ddd1a02e9259766b7a519683ca1"
+    )
 
 
 def test_check_size_mismatch_exits_2(capsys, tmp_path):

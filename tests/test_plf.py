@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_envelope import oracle_resample
 
 from stardis.plf import (
     PiecewiseLinearFn,
@@ -97,6 +98,26 @@ def test_point_set_values_cached_read_only():
         ps.distinct_values[0] = 0.1
 
 
+def test_make_point_set_seeds_values_with_a_private_copy():
+    src = np.array([0.5, 0.25, 0.0, 0.75])
+    ps = make_point_set(src)
+    assert "values" in ps.__dict__  # cached by make_point_set, not rebuilt
+    cached = ps.values
+    assert not cached.flags.writeable
+    assert cached.tobytes() == np.array(ps.points).tobytes()
+    src[0] = 0.9  # the caller's array is not the cache
+    assert ps.values is cached and ps.values[0] == 0.5 and ps.points[0] == 0.5
+
+
+def test_point_set_sort_order_lists_every_prefix_sorted():
+    ps = make_point_set([0.5, 0.25, 0.5, 0.0, 0.25, 0.75])
+    order = ps.sort_order
+    assert order.tolist() == [3, 1, 4, 0, 2, 5]  # stable among equal values
+    assert not order.flags.writeable
+    for n in range(1, len(ps) + 1):
+        assert ps.values[order[order < n]].tolist() == sorted(ps.points[:n])
+
+
 def test_point_set_cache_keeps_value_semantics():
     ps, qs = make_point_set([0.5, 0.25]), make_point_set([0.5, 0.25])
     _ = ps.values, ps.distinct_values
@@ -182,12 +203,13 @@ def test_envelope_pointwise(f, g, x):
 @settings(max_examples=100, deadline=None)
 @given(plf_strategy(), plf_strategy())
 def test_envelope_equals_full_resample(f, g):
-    # the merge reuses its first resample when no crossing is kept; either
-    # way the result must equal both operands resampled on its final grid
+    # the merge samples each operand once, and spreads its values at the
+    # crossings; the result must equal both operands resampled in full on
+    # its final grid
     h = f.maximum(g)
     grid = h.breakpoints
-    fl, fr, fs = f._resample(grid)
-    gl, gr, gs = g._resample(grid)
+    fl, fr, fs = oracle_resample(f, grid)
+    gl, gr, gs = oracle_resample(g, grid)
     half = np.diff(grid) / 2
     mid_f, mid_g = fr[:-1] + fs * half, gr[:-1] + gs * half
     assert h.slopes.tobytes() == np.where(mid_f >= mid_g, fs, gs).tobytes()
