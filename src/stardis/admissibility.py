@@ -14,13 +14,14 @@ strict variant with an explicit jump-location set.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bounds import _check_domain
-from .plf import PiecewiseLinearFn, PointSet, discrepancy_function, upper_envelope
+from .plf import PiecewiseLinearFn, PointSet, discrepancy_function
 
 __all__ = [
     "ScaleParams",
@@ -147,14 +148,14 @@ class PropertyReport:
 
 
 def _envelope_max(ps: PointSet, indices: range) -> PiecewiseLinearFn:
-    """max over n in indices of D_n, merged in index order.
+    """max over n in indices of D_n, merged one ``maximum`` at a time in
+    index order.
 
-    ``upper_envelope`` keeps the running envelope as arrays: each merge adds
-    the new prefix point and the crossings to the grid and runs the
-    constructor's checks, and only the block's envelope becomes a PLF.  Each
-    D_n comes from ``discrepancy_function``, once per index.
+    Each D_n comes from ``discrepancy_function``, once per index.  A merge
+    adds D_n's new prefix point and the strict crossings to the envelope's
+    grid, so the envelope is sampled only there and no union is sorted.
     """
-    return upper_envelope(discrepancy_function(ps, n) for n in indices)
+    return functools.reduce(PiecewiseLinearFn.maximum, (discrepancy_function(ps, n) for n in indices))
 
 
 def build_f(ps: PointSet, sc: ScaleParams) -> PiecewiseLinearFn:

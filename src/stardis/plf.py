@@ -21,7 +21,6 @@ __all__ = [
     "PiecewiseLinearFn",
     "make_point_set",
     "discrepancy_function",
-    "upper_envelope",
     "star_discrepancy",
     "read_point_file",
     "write_point_file",
@@ -129,11 +128,30 @@ class PiecewiseLinearFn:
         bp = np.asarray(breakpoints, dtype=float)
         sl = np.asarray(slopes, dtype=float)
         jp = np.asarray(jumps, dtype=float)
-        self._left_values = _checked_left_values(bp, sl, jp, anchor)
+        if bp.ndim != 1 or bp.size < 2:
+            raise ValueError("need at least breakpoints [0, 1]")
+        if bp[0] != 0.0 or bp[-1] != 1.0:
+            raise ValueError("breakpoints must start at 0 and end at 1")
+        steps = bp[1:] - bp[:-1]
+        if (steps <= 0).any():
+            raise ValueError("breakpoints must be strictly increasing")
+        m = bp.size - 1
+        if sl.size != m:
+            raise ValueError(f"expected {m} segment slopes, got {sl.size}")
+        if jp.size != m:
+            raise ValueError(f"expected {m} jumps (one per breakpoint below 1), got {jp.size}")
+        if not (np.isfinite(bp).all() and np.isfinite(sl).all() and np.isfinite(jp).all() and math.isfinite(anchor)):
+            raise ValueError("non-finite data in piecewise-linear function")
         self.breakpoints = bp
         self.slopes = sl
         self.jumps = jp
         self.anchor = float(anchor)
+        # left-limit values at every breakpoint, cumulative over segments
+        vals = np.empty(m + 1)
+        vals[0] = anchor
+        np.cumsum(jp + sl * steps, out=vals[1:])
+        vals[1:] += anchor
+        self._left_values = vals
 
     # -- basic accessors -------------------------------------------------
 
@@ -188,8 +206,41 @@ class PiecewiseLinearFn:
         return self._binary(other, np.subtract)
 
     def maximum(self, other: PiecewiseLinearFn) -> PiecewiseLinearFn:
-        """Pointwise maximum; every strict crossing becomes a breakpoint."""
-        return PiecewiseLinearFn(*_max_merge(self._parts, other._parts))
+        """Pointwise maximum.
+
+        The grid is the union of both breakpoint sets plus every strict
+        interior crossing, so each segment follows one branch, chosen at its
+        midpoint.
+        """
+        f, g = self._parts, other._parts
+        grid, (fl, fr, fs), (gl, gr, gs) = _on_union(f, g)
+        half = (grid[1:] - grid[:-1]) / 2
+        slopes = np.where(fr + fs * half >= gr + gs * half, fs, gs)
+        jumps = np.maximum(fr, gr) - np.maximum(fl[:-1], gl[:-1])
+        anchor = float(np.maximum(fl[0], gl[0]))
+        # a strict interior crossing splits its segment into one piece per branch
+        d0 = fr - gr
+        d1 = fl[1:] - gl[1:]
+        cross = np.flatnonzero(np.sign(d0) * np.sign(d1) < 0)  # strict sign change
+        if cross.size:
+            u, v, d0 = grid[cross], grid[cross + 1], d0[cross]
+            xc = u + d0 * (v - u) / (d0 - d1[cross])
+            keep = (xc > u) & (xc < v)
+            if keep.any():
+                k, x = cross[keep], xc[keep]
+                u, v, fk, gk = u[keep], v[keep], fs[k], gs[k]
+                # neither function jumps at x: the right limits are left + 0.0
+                fx = _affine(f, f[0].searchsorted(x) - 1, x)
+                gx = _affine(g, g[0].searchsorted(x) - 1, x)
+                frx, grx = fx + 0.0, gx + 0.0
+                half = (x - u) / 2
+                slopes[k] = np.where(fr[k] + fk * half >= gr[k] + gk * half, fk, gk)
+                half = (v - x) / 2
+                split = np.where(frx + fk * half >= grx + gk * half, fk, gk)
+                grid = np.insert(grid, k + 1, x)
+                slopes = np.insert(slopes, k + 1, split)
+                jumps = np.insert(jumps, k + 1, np.maximum(frx, grx) - np.maximum(fx, gx))
+        return PiecewiseLinearFn(grid, slopes, jumps, anchor)
 
 
 # A PLF as the arrays (breakpoints, left values, jumps, slopes); the anchor is
@@ -198,31 +249,6 @@ _Parts = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 # A PLF on a grid: (left values at every grid point, right limits at every
 # grid point below 1, slope on every grid segment).
 _OnGrid = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _checked_left_values(bp: np.ndarray, sl: np.ndarray, jp: np.ndarray, anchor: float) -> np.ndarray:
-    """Validate a PLF's structure and return its left limits f(b_k), summed
-    segment by segment from the anchor.  Every PLF, and every intermediate
-    envelope of :func:`upper_envelope`, passes through here."""
-    if bp.ndim != 1 or bp.size < 2:
-        raise ValueError("need at least breakpoints [0, 1]")
-    if bp[0] != 0.0 or bp[-1] != 1.0:
-        raise ValueError("breakpoints must start at 0 and end at 1")
-    steps = bp[1:] - bp[:-1]
-    if (steps <= 0).any():
-        raise ValueError("breakpoints must be strictly increasing")
-    m = bp.size - 1
-    if sl.size != m:
-        raise ValueError(f"expected {m} segment slopes, got {sl.size}")
-    if jp.size != m:
-        raise ValueError(f"expected {m} jumps (one per breakpoint below 1), got {jp.size}")
-    if not (np.isfinite(bp).all() and np.isfinite(sl).all() and np.isfinite(jp).all() and math.isfinite(anchor)):
-        raise ValueError("non-finite data in piecewise-linear function")
-    vals = np.empty(m + 1)
-    vals[0] = anchor
-    np.cumsum(jp + sl * steps, out=vals[1:])
-    vals[1:] += anchor
-    return vals
 
 
 def _on_union(f: _Parts, g: _Parts) -> tuple[np.ndarray, _OnGrid, _OnGrid]:
@@ -236,7 +262,7 @@ def _on_union(f: _Parts, g: _Parts) -> tuple[np.ndarray, _OnGrid, _OnGrid]:
     fresh = f[0][idx] != g[0]  # g's points that f lacks
     pos = idx + fresh.cumsum() - fresh  # grid position of each of g's points
     before, x = idx[fresh], g[0][fresh]
-    grid = _insert(f[0], before, x)
+    grid = np.insert(f[0], before, x)
     return grid, _spread(f, before, x), _sample(g, grid, pos)
 
 
@@ -253,7 +279,7 @@ def _spread(fn: _Parts, before: np.ndarray, x: np.ndarray) -> _OnGrid:
     k = before - 1  # fn's segment holding each point
     xl = _affine(fn, k, x)
     # off the breakpoints the right limit is left + 0.0, as on a full grid
-    return _insert(lv, before, xl), _insert(lv[:-1] + jp, before, xl + 0.0), _insert(sl, before, sl[k])
+    return np.insert(lv, before, xl), np.insert(lv[:-1] + jp, before, xl + 0.0), np.insert(sl, before, sl[k])
 
 
 def _sample(fn: _Parts, grid: np.ndarray, pos: np.ndarray) -> _OnGrid:
@@ -270,79 +296,6 @@ def _sample(fn: _Parts, grid: np.ndarray, pos: np.ndarray) -> _OnGrid:
     jumps = np.zeros(grid.size - 1)
     jumps[pos[:-1]] = jp
     return left, left[:-1] + jumps, sl[seg]
-
-
-def _insert(arr: np.ndarray, before: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """A copy of arr with new[i] inserted before arr[before[i]] (before sorted).
-
-    A merge in an envelope fold inserts a handful of points, where joining
-    slices beats ``np.insert``'s fixed cost; many points go to ``np.insert``.
-    """
-    if before.size > 16:
-        return np.insert(arr, before, new)
-    pieces, start = [], 0
-    for i, stop in enumerate(before.tolist()):
-        pieces += arr[start:stop], new[i : i + 1]
-        start = stop
-    pieces.append(arr[start:])
-    return np.concatenate(pieces)
-
-
-def _max_merge(f: _Parts, g: _Parts) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Pointwise maximum of f and g as (breakpoints, slopes, jumps, anchor).
-
-    The grid is the union of both breakpoint sets plus every strict interior
-    crossing, so each segment follows one branch, chosen at its midpoint.
-    """
-    grid, (fl, fr, fs), (gl, gr, gs) = _on_union(f, g)
-    half = (grid[1:] - grid[:-1]) / 2
-    slopes = np.where(fr + fs * half >= gr + gs * half, fs, gs)
-    jumps = np.maximum(fr, gr) - np.maximum(fl[:-1], gl[:-1])
-    anchor = float(np.maximum(fl[0], gl[0]))
-    # a strict interior crossing splits its segment into one piece per branch
-    d0 = fr - gr
-    d1 = fl[1:] - gl[1:]
-    cross = np.flatnonzero(np.sign(d0) * np.sign(d1) < 0)  # strict sign change
-    if cross.size:
-        u, v, d0 = grid[cross], grid[cross + 1], d0[cross]
-        xc = u + d0 * (v - u) / (d0 - d1[cross])
-        keep = (xc > u) & (xc < v)
-        if keep.any():
-            k, x = cross[keep], xc[keep]
-            u, v, fk, gk = u[keep], v[keep], fs[k], gs[k]
-            # neither function jumps at x: the right limits are left + 0.0
-            fx = _affine(f, f[0].searchsorted(x) - 1, x)
-            gx = _affine(g, g[0].searchsorted(x) - 1, x)
-            frx, grx = fx + 0.0, gx + 0.0
-            half = (x - u) / 2
-            slopes[k] = np.where(fr[k] + fk * half >= gr[k] + gk * half, fk, gk)
-            half = (v - x) / 2
-            split = np.where(frx + fk * half >= grx + gk * half, fk, gk)
-            grid = _insert(grid, k + 1, x)
-            slopes = _insert(slopes, k + 1, split)
-            jumps = _insert(jumps, k + 1, np.maximum(frx, grx) - np.maximum(fx, gx))
-    return grid, slopes, jumps, anchor
-
-
-def upper_envelope(fns: Iterable[PiecewiseLinearFn]) -> PiecewiseLinearFn:
-    """Pointwise maximum of fns, folded left to right.
-
-    Bit for bit ``functools.reduce(PiecewiseLinearFn.maximum, fns)``: every
-    merge is :meth:`PiecewiseLinearFn.maximum`'s kernel and its result passes
-    the constructor's checks, but the running envelope stays as arrays and
-    only the final one becomes a PiecewiseLinearFn.
-    """
-    env: _Parts | None = None
-    for fn in fns:
-        if env is None:
-            env = fn._parts
-            continue
-        grid, slopes, jumps, anchor = _max_merge(env, fn._parts)
-        env = grid, _checked_left_values(grid, slopes, jumps, anchor), jumps, slopes
-    if env is None:
-        raise ValueError("upper envelope of no functions")
-    bp, lv, jp, sl = env
-    return PiecewiseLinearFn(bp, sl, jp, lv[0])
 
 
 def discrepancy_function(ps: PointSet, n: int) -> PiecewiseLinearFn:

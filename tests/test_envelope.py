@@ -1,12 +1,8 @@
-"""Bit-identity of the array-level envelope fold.
+"""Bit-identity of the envelope fold with the oracle in ``envelope_oracle``.
 
-The oracle is the engine as it was before the fold kept its envelope as
-arrays: every merge built a PiecewiseLinearFn, resampled both operands on
-the sorted union of their breakpoints and, when a crossing was kept,
-resampled both again on the refined grid; each D_n sorted its prefix with
-``np.unique``.  The fold must give the same floats, bit for bit: the checks
-of tied inputs fail on 1-ulp slivers of f, so one moved bit can move a
-verdict.  The golden digests pin f as that engine computed it.
+f must keep the oracle's floats, bit for bit: the checks of tied inputs
+fail on 1-ulp slivers of f, so one moved bit can move a verdict.  The
+golden digests pin f as the oracle's engine computed it.
 """
 from __future__ import annotations
 
@@ -20,94 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stardis import plf
 from stardis.admissibility import build_f, make_scale
-from stardis.plf import PiecewiseLinearFn, discrepancy_function, make_point_set, upper_envelope
+from stardis.plf import PiecewiseLinearFn, discrepancy_function, make_point_set
 
-# ----------------------------------------------------------------- the oracle
-
-
-class OraclePLF:
-    """Breakpoints, slopes, jumps and anchor, with the left values summed as
-    the constructor sums them."""
-
-    def __init__(self, breakpoints, slopes, jumps, anchor):
-        self.breakpoints = bp = np.asarray(breakpoints, dtype=float)
-        self.slopes = sl = np.asarray(slopes, dtype=float)
-        self.jumps = jp = np.asarray(jumps, dtype=float)
-        self.anchor = float(anchor)
-        vals = np.empty(bp.size)
-        vals[0] = anchor
-        np.cumsum(jp + sl * np.diff(bp), out=vals[1:])
-        vals[1:] += anchor
-        self.left_values = vals
-
-
-def oracle_resample(fn, grid):
-    """(left values, right limits, slopes) of fn on a superset grid."""
-    bp = fn.breakpoints
-    idx = np.searchsorted(bp, grid, side="left")
-    own = bp[idx] == grid
-    seg = np.maximum(idx, 1) - 1
-    left = fn.left_values[seg] + fn.jumps[seg] + fn.slopes[seg] * (grid - bp[seg])
-    left = np.where(own, fn.left_values[idx], left)
-    left[0] = fn.anchor
-    jumps = np.where(own & (grid < 1.0), fn.jumps[np.minimum(idx, fn.jumps.size - 1)], 0.0)
-    right = left + jumps
-    slopes = fn.slopes[seg[1:]]
-    return left, right, slopes
-
-
-def oracle_binary(f, g, op):
-    grid = np.unique(np.concatenate([f.breakpoints, g.breakpoints]))
-    fl, fr, fs = oracle_resample(f, grid)
-    gl, gr, gs = oracle_resample(g, grid)
-    if op == "add":
-        left, right, slopes = fl + gl, fr + gr, fs + gs
-    elif op == "sub":
-        left, right, slopes = fl - gl, fr - gr, fs - gs
-    else:
-        d0 = fr[:-1] - gr[:-1]
-        d1 = fl[1:] - gl[1:]
-        cross = np.flatnonzero((d0 > 0) != (d1 > 0))
-        cross = cross[(d0[cross] != 0.0) & (d1[cross] != 0.0)]
-        if cross.size:
-            u, v = grid[cross], grid[cross + 1]
-            xc = u + d0[cross] * (v - u) / (d0[cross] - d1[cross])
-            keep = (xc > u) & (xc < v)
-            if keep.any():
-                grid = np.unique(np.concatenate([grid, xc[keep]]))
-                fl, fr, fs = oracle_resample(f, grid)
-                gl, gr, gs = oracle_resample(g, grid)
-        left, right = np.maximum(fl, gl), np.maximum(fr, gr)
-        half = np.diff(grid) / 2
-        mid_f = fr[:-1] + fs * half
-        mid_g = gr[:-1] + gs * half
-        slopes = np.where(mid_f >= mid_g, fs, gs)
-    jumps = (right - left)[:-1]
-    return OraclePLF(grid, slopes, jumps, float(left[0]))
-
-
-def oracle_discrepancy(ps, n):
-    locs, counts = np.unique(ps.values[:n], return_counts=True)
-    interior = locs > 0.0
-    bp = np.concatenate([[0.0], locs[interior], [1.0]])
-    jumps = np.zeros(bp.size - 1)
-    jumps[0] = counts[~interior].sum() if np.any(~interior) else 0.0
-    jumps[1:] = counts[interior]
-    return OraclePLF(bp, np.full(bp.size - 1, -float(n)), jumps, 0.0)
-
-
-def oracle_envelope_max(ps, indices):
-    env = None
-    for n in indices:
-        d = oracle_discrepancy(ps, n)
-        env = d if env is None else oracle_binary(env, d, "max")
-    return env
-
-
-def oracle_build_f(ps, sc):
-    return oracle_binary(oracle_envelope_max(ps, sc.A2), oracle_envelope_max(ps, sc.A0), "sub")
+from envelope_oracle import oracle_binary, oracle_build_f, oracle_discrepancy
 
 
 def assert_same(f, g):
@@ -209,33 +121,6 @@ def test_pairwise_arithmetic_matches_parent(f, g):
     assert_same(g.maximum(f), oracle_binary(g, f, "max"))
     assert_same(f - g, oracle_binary(f, g, "sub"))
     assert_same(f + g, oracle_binary(f, g, "add"))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(plfs(), min_size=1, max_size=4))
-def test_upper_envelope_is_the_maximum_fold(fns):
-    assert_same(upper_envelope(fns), functools.reduce(PiecewiseLinearFn.maximum, fns))
-    assert_same(upper_envelope(iter(fns)), functools.reduce(lambda e, g: oracle_binary(e, g, "max"), fns))
-
-
-def test_upper_envelope_of_nothing_raises():
-    with pytest.raises(ValueError, match="no functions"):
-        upper_envelope([])
-
-
-def test_upper_envelope_checks_every_merge(monkeypatch):
-    fns = [discrepancy_function(point_set("uniform-t2-s0"), n) for n in range(1, 6)]
-    calls = []
-    checked = plf._checked_left_values
-    monkeypatch.setattr(plf, "_checked_left_values", lambda *args: calls.append(1) or checked(*args))
-    upper_envelope(fns)
-    assert len(calls) == len(fns)  # one per merge, one for the result
-    # data that overflow in a merge are rejected as the constructor rejects them
-    flat = PiecewiseLinearFn([0.0, 0.25, 1.0], [0.0, 0.0], [0.0, 0.0], 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        huge = PiecewiseLinearFn([0.0, 0.5, 1.0], [0.0, 0.0], [0.0, 1e307], 1.7e308)
-        with pytest.raises(ValueError, match="non-finite"):
-            upper_envelope([flat, huge, flat])
 
 
 # ------------------------------------------------------------ golden digests

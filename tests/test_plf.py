@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_envelope import oracle_resample
 
 from stardis.plf import (
     PiecewiseLinearFn,
@@ -16,6 +15,8 @@ from stardis.plf import (
     star_discrepancy,
     write_point_file,
 )
+
+from envelope_oracle import oracle_resample
 
 
 # ---------------------------------------------------------------- point sets
