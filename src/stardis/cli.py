@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .admissibility import build_f, check_all, make_scale
-from .bounds import make_bound_report, optimize_constant, strict_bound, strong_bound
+from .bounds import _FAMILIES, make_bound_report, optimize_constant, strict_bound, strong_bound
 from .plf import make_point_set, read_point_file, star_discrepancy
 from .sequences import checkpoints, kronecker, trajectory, van_der_corput, write_trajectory
 from .variational import qp_gap_report
@@ -89,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_bound(args) -> int:
     if args.optimize:
         family = args.family or "strict"
-        dom_hi = 4.0 if family == "strong" else 3.7
-        lo = 3.0 if args.a_lo is None else args.a_lo
+        dom_lo, dom_hi = _FAMILIES[family]
+        lo = dom_lo if args.a_lo is None else args.a_lo
         hi = dom_hi if args.a_hi is None else args.a_hi
         a_star, c_star = optimize_constant(family, lo, hi, args.tol)
         if args.format == "records":

@@ -8,7 +8,6 @@ because all operations resolve to affine pieces on a merged breakpoint grid.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -140,8 +139,6 @@ class PiecewiseLinearFn:
             raise ValueError(f"expected {m} segment slopes, got {sl.size}")
         if jp.size != m:
             raise ValueError(f"expected {m} jumps (one per breakpoint below 1), got {jp.size}")
-        if not (np.isfinite(bp).all() and np.isfinite(sl).all() and np.isfinite(jp).all() and math.isfinite(anchor)):
-            raise ValueError("non-finite data in piecewise-linear function")
         self.breakpoints = bp
         self.slopes = sl
         self.jumps = jp
@@ -151,6 +148,10 @@ class PiecewiseLinearFn:
         vals[0] = anchor
         np.cumsum(jp + sl * steps, out=vals[1:])
         vals[1:] += anchor
+        # any NaN or inf input, and any overflow of finite data, reaches these
+        # sums; the ends 0, 1 and increasing steps keep breakpoints finite
+        if not np.isfinite(vals).all():
+            raise ValueError("non-finite data in piecewise-linear function")
         self._left_values = vals
 
     # -- basic accessors -------------------------------------------------

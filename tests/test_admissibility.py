@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stardis.admissibility import (
-    JUMP_TOL,
     PropertyReport,
     Violation,
     _fenced_backline,
+    _tolerance,
     build_f,
     check_all,
     check_bend_condition,
@@ -23,6 +24,7 @@ from stardis.admissibility import (
     make_scale,
 )
 from stardis.plf import PiecewiseLinearFn, discrepancy_function, make_point_set
+from stardis.sequences import kronecker, van_der_corput
 
 
 # -------------------------------------------------------------------- scales
@@ -398,19 +400,19 @@ def test_strict_admissibility_flags_jump_outside_gamma():
 
 
 def test_strict_admissibility_witness_is_first_jump_outside_gamma():
-    # two jumps off gamma sit right of f's jumps in gamma, and one jump within
-    # TOL of a gamma location counts as in gamma: the witness is the leftmost
+    # two jumps off gamma sit right of f's jumps in gamma, and one more jump
+    # added on a gamma location stays in gamma: the witness is the leftmost
     # jump that misses
     sc = make_scale(3.0, 2)
     ps = make_point_set(np.random.default_rng(4).random(9))
     f = build_f(ps, sc)
     gs = gamma_sets_from_points(ps, sc)
     locs = sorted(gs.gamma)
-    near = locs[-2] + 5e-13
+    near = locs[-2]
     off = [(locs[-2] + locs[-1]) / 2, (locs[-1] + 1.0) / 2]
     spikes = PiecewiseLinearFn([0.0, near, *off, 1.0], [0.0] * 4, [0.0, 0.25, 0.5, 0.75], 0.0)
     g = f + spikes
-    assert np.count_nonzero(g.jumps[g.breakpoints[:-1] < off[0]] > JUMP_TOL) >= 5
+    assert np.count_nonzero(g.jumps[g.breakpoints[:-1] < off[0]] > _tolerance(g, sc)) >= 5
     rep = check_strict_admissibility(g, sc, gs)
     w = rep.witness("a")
     assert w.where == off[0]
@@ -474,7 +476,7 @@ def test_check_all_order_and_statuses():
     )
     assert rep.all_ok
     for j in range(19, 27):
-        skipped = f.jump_at(ps.points[j - 1]) <= JUMP_TOL
+        skipped = f.jump_at(ps.points[j - 1]) <= _tolerance(f, sc)
         assert (f"bend[j={j}]: skipped (no jump)" in rep.lines()) == skipped
         assert rep.passed(f"bend[j={j}]") != skipped
     assert rep.records() == [f"{name},{status}" for name, status, _ in rep.entries]
@@ -519,7 +521,78 @@ def test_fenced_backline_vacuous_at_fence_end():
         [0.0, 0.0, 0.5, 0.0],
         2.0,
     )
-    ok, w = _fenced_backline(g, np.array([0.6, 0.7, 0.8]), 0.7, -4.0, -3.0)
+    tol = _tolerance(g, make_scale(3.0, 2))  # s0 = -3
+    ok, w = _fenced_backline(g, np.array([0.6, 0.7, 0.8]), 0.7, -4.0, -3.0, tol)
     assert not ok and 0.6 <= w.where <= 0.7
-    assert _fenced_backline(g, np.array([0.6, 0.7]), 0.7, -4.0, -3.0) == (True, None)
-    assert _fenced_backline(g, np.array([0.7, 0.8]), 0.7, -4.0, -3.0) == (True, None)
+    assert _fenced_backline(g, np.array([0.6, 0.7]), 0.7, -4.0, -3.0, tol) == (True, None)
+    assert _fenced_backline(g, np.array([0.7, 0.8]), 0.7, -4.0, -3.0, tol) == (True, None)
+
+
+# ------------------------------------------- exact slopes, the value tolerance
+
+
+def _tied_values(a, t, level=32):
+    # uniform values rounded down to a 1/level grid, so values repeat
+    rng = np.random.default_rng(7)
+    return make_point_set(np.floor(rng.random(make_scale(a, t).N) * level) / level)
+
+
+@functools.lru_cache(maxsize=None)
+def _built(a, t, kind):
+    sc = make_scale(a, t)
+    if kind == "tied":
+        ps = _tied_values(a, t)
+    else:
+        ps = make_point_set(np.random.default_rng(0).random(sc.N))
+    return sc, ps, build_f(ps, sc)
+
+
+FLOAT_CASES = [(a, t, kind) for a in (3.0, 3.5, 3.62079) for t in range(2, 7) for kind in ("uniform", "tied")]
+
+
+@pytest.mark.parametrize("a,t,kind", FLOAT_CASES)
+def test_f_slopes_are_integers_and_jumps_sit_on_point_values(a, t, kind):
+    # the two facts that let slope and jump-location tests go without a
+    # tolerance: slopes -n selected and subtracted stay exact integers, and
+    # a crossing's jump is exactly 0
+    sc, ps, f = _built(a, t, kind)
+    assert np.array_equal(f.slopes, np.round(f.slopes))
+    assert np.isin(f.breakpoints[:-1][f.jumps != 0.0], ps.values).all()
+
+
+@pytest.mark.parametrize("a,t", [(a, t) for a in (3.0, 3.5, 3.62079) for t in range(2, 7)] + [(3.0, 7)])
+def test_float_drift_stays_below_the_value_tolerance(a, t):
+    # exact f has f(0) = f(1) = 0 and, with distinct values, jumps of exactly
+    # 1 at the middle-block points; the float f drifts from these by less
+    # than the tolerance every value comparison allows
+    sc, ps, f = _built(a, t, "uniform")
+    h = f.jumps_at(ps.values[sc.n0 : sc.N - sc.n0])
+    drift = max(abs(f.anchor), abs(f.left_values[-1]), float(np.max(np.abs(h - 1.0))))
+    assert drift <= _tolerance(f, sc)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("a", [3.62079, 3.7])
+@pytest.mark.parametrize("name", ["vdc2", "vdc3", "kronecker"])
+def test_property_i_passes_on_t7_low_discrepancy_windows(a, name):
+    # N-point windows at offsets 0, N/3 and N; |f(1)| is 1e-12 to 8e-12 on
+    # most of them, which a fixed 1e-12 tolerance reported as a FAIL of (i)
+    sc = make_scale(a, 7)
+    seq = {"vdc2": lambda n: van_der_corput(2, n), "vdc3": lambda n: van_der_corput(3, n), "kronecker": kronecker}
+    values = seq[name](2 * sc.N).values
+    for off in (0, sc.N // 3, sc.N):
+        ps = make_point_set(values[off : off + sc.N])
+        f = build_f(ps, sc)
+        assert check_properties(f, sc, ps).passed("i"), (off, f.left_values[-1])
+
+
+def test_value_comparisons_allow_the_rounding_tolerance():
+    # m * a^t * 2^-52: an endpoint offset of half of it passes (i), twice it fails
+    sc = make_scale(3.0, 5)
+    ps = make_point_set(np.random.default_rng(0).random(sc.N))
+    f = build_f(ps, sc)
+    tol = _tolerance(f, sc)
+    assert tol == f.slopes.size * 3.0**5 * 2.0**-52
+    for factor, ok in ((0.5, True), (2.0, False)):
+        g = f + PiecewiseLinearFn([0.0, 1.0], [0.0], [0.0], factor * tol)
+        assert check_properties(g, sc, ps).passed("i") == ok

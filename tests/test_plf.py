@@ -173,6 +173,22 @@ def test_constructor_validation():
         PiecewiseLinearFn([0.0, 1.0], [math.inf], [0.0], 0.0)
 
 
+@pytest.mark.parametrize(
+    "bp,slopes,jumps,anchor",
+    [
+        ([0.0, 0.5, 1.0], [0.0, 0.0], [0.0, 1e307], 1.7e308),  # finite data, sum overflows
+        ([0.0, math.nan, 1.0], [0.0, 0.0], [0.0, 0.0], 0.0),
+        ([0.0, 0.5, 1.0], [0.0, 0.0], [math.nan, 0.0], 0.0),
+        ([0.0, 0.5, 1.0], [0.0, -math.inf], [0.0, 0.0], 0.0),
+        ([0.0, 0.5, 1.0], [0.0, 0.0], [0.0, 0.0], math.inf),
+    ],
+    ids=["overflow", "nan-breakpoint", "nan-jump", "inf-slope", "inf-anchor"],
+)
+def test_constructor_rejects_non_finite_left_values(bp, slopes, jumps, anchor):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite data"):
+        PiecewiseLinearFn(bp, slopes, jumps, anchor)
+
+
 def test_left_continuity_and_jumps():
     g = PiecewiseLinearFn([0.0, 0.5, 1.0], [1.0, -1.0], [0.0, 2.0], 0.0)
     assert g.value(0.5) == pytest.approx(0.5, abs=1e-15)  # left limit at the jump

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from stardis.admissibility import JUMP_TOL, _backline_check, _probes, build_f, make_scale
+from stardis.admissibility import _backline_check, _probes, _tolerance, build_f, make_scale
 from stardis.plf import PiecewiseLinearFn, make_point_set
 
 # ------------------------------------------------------------ full-scan oracle
@@ -26,7 +26,6 @@ def _probe_values_scan(f: PiecewiseLinearFn, lo: float, hi: float) -> list[tuple
     for u, v in zip(cuts[:-1], cuts[1:]):
         fu = f.value(u)
         probes.append((u, fu + f.jump_at(u)))
-        probes.append(((u + v) / 2, f.value((u + v) / 2)))
         probes.append((v, f.value(v)))
     return probes
 
@@ -41,23 +40,22 @@ def _firing_probes_scan(
         a, b = max(u, lo), min(v, hi)
         if a >= b:
             continue
-        if f.slopes[k] <= threshold + JUMP_TOL:
+        if f.slopes[k] <= threshold:
             continue
         fa = f.value(a) + f.jump_at(a)
         probes.append((a, fa))
-        probes.append(((a + b) / 2, f.value((a + b) / 2)))
         probes.append((b, f.value(b)))
     return probes
 
 
-def _backline_check_scan(f, lo, jump_x, hi, threshold, s0):
+def _backline_check_scan(f, lo, jump_x, hi, threshold, s0, tol):
     firing = _firing_probes_scan(f, jump_x, hi, threshold)
     if not firing:
         return True, False, None
     xbar, fbar = max(firing, key=lambda p: p[1] - s0 * p[0])
     rhs = fbar - s0 * xbar
     xlow, flow = min(_probe_values_scan(f, lo, jump_x), key=lambda p: p[1] - s0 * p[0])
-    if flow - s0 * xlow >= rhs - JUMP_TOL:
+    if flow - s0 * xlow >= rhs - tol:
         return True, True, None
     return False, True, (xlow, flow, fbar - s0 * (xbar - xlow), f"back line from xbar={xbar:.9g}")
 
@@ -80,21 +78,21 @@ def _cases():
 CASES = list(_cases())
 
 
-def _windows(f: PiecewiseLinearFn, ps, rng: np.random.Generator):
+def _windows(f: PiecewiseLinearFn, ps, tol: float, rng: np.random.Generator):
     """(lo, hi) pairs with lo < hi: neighbor point values around each point,
-    breakpoint pairs carrying jumps at either end, free interior pairs, and
-    windows reaching 0 or 1."""
-    return [(lo, hi) for lo, hi in _raw_windows(f, ps, rng) if lo < hi]
+    breakpoint pairs carrying jumps (above tol) at either end, free interior
+    pairs, and windows reaching 0 or 1."""
+    return [(lo, hi) for lo, hi in _raw_windows(f, ps, tol, rng) if lo < hi]
 
 
-def _raw_windows(f: PiecewiseLinearFn, ps, rng: np.random.Generator):
+def _raw_windows(f: PiecewiseLinearFn, ps, tol: float, rng: np.random.Generator):
     vals = ps.distinct_values
     inner = np.arange(1, vals.size - 1)
     for p in np.sort(rng.choice(inner, size=min(60, inner.size), replace=False)):
         yield float(vals[p - 1]), float(vals[p])
         yield float(vals[p]), float(vals[p + 1])
     bp = f.breakpoints
-    jumpy = bp[:-1][np.abs(f.jumps) > JUMP_TOL]
+    jumpy = bp[:-1][np.abs(f.jumps) > tol]
     for _ in range(15):
         lo, hi = sorted(rng.choice(jumpy, size=2, replace=False))
         yield float(lo), float(hi)
@@ -125,8 +123,9 @@ def test_windowed_probes_match_full_scan(t, kind, ps):
     f = build_f(ps, sc)
     rng = np.random.default_rng(t)
     slopes = np.unique(f.slopes)
-    thresholds = [sc.s0 - 1, sc.s0 - sc.n0 + 1, float(np.median(slopes)), float(slopes[0]) - JUMP_TOL]
-    windows = _windows(f, ps, rng)
+    # the last threshold lies below every slope, so every piece fires
+    thresholds = [sc.s0 - 1, sc.s0 - sc.n0 + 1, float(np.median(slopes)), float(slopes[0]) - 1.0]
+    windows = _windows(f, ps, _tolerance(f, sc), rng)
     on_bp = sum(lo in f.breakpoints and hi in f.breakpoints for lo, hi in windows)
     assert on_bp >= 15  # breakpoint-ended windows are really exercised
     fired = 0
@@ -149,12 +148,13 @@ def test_backline_check_matches_full_scan(t, kind, ps):
     sc = make_scale(3.0, t)
     f = build_f(ps, sc)
     vals = ps.distinct_values
+    tol = _tolerance(f, sc)
     outcomes = set()
     for p in range(1, vals.size - 1):
         lo, x, hi = float(vals[p - 1]), float(vals[p]), float(vals[p + 1])
         for k in (1, sc.n0 // 2, sc.n0 - 1):
-            ok, fired, w = _backline_check(f, lo, x, hi, sc.s0 - k, sc.s0)
-            want = _backline_check_scan(f, lo, x, hi, sc.s0 - k, sc.s0)
+            ok, fired, w = _backline_check(f, lo, x, hi, sc.s0 - k, sc.s0, tol)
+            want = _backline_check_scan(f, lo, x, hi, sc.s0 - k, sc.s0, tol)
             got_w = None if w is None else (w.where, w.measured, w.threshold, w.note)
             assert (ok, fired, got_w) == want, (lo, x, hi, k)
             outcomes.add((ok, fired))
@@ -166,9 +166,9 @@ def test_probes_on_a_hand_function():
     f = PiecewiseLinearFn([0.0, 0.25, 0.5, 1.0], [-1.0, -3.0, -2.0], [0.0, 2.0, 1.0], 0.0)
     xs, ys = _probes(f, 0.25, 0.5)
     # one piece, the jump at 0.25 counted from the right, none from 0.5
-    assert xs.tolist() == [0.25, 0.375, 0.5]
-    assert ys.tolist() == [-0.25 + 2.0, -0.25 + 2.0 - 0.375, -0.25 + 2.0 - 0.75]
+    assert xs.tolist() == [0.25, 0.5]
+    assert ys.tolist() == [-0.25 + 2.0, -0.25 + 2.0 - 0.75]
     xs, _ = _probes(f, 0.1, 0.9, threshold=-2.5)
-    assert xs.tolist() == [0.1, 0.175, 0.25, 0.5, 0.7, 0.9]
+    assert xs.tolist() == [0.1, 0.25, 0.5, 0.9]
     xs, _ = _probes(f, 0.1, 0.9, threshold=-1.0)  # ties do not fire
     assert xs.size == 0
