@@ -7,7 +7,8 @@ The comparison function is
     f(x) = max_{n in A2} D_n(x) - max_{n in A0} D_n(x),
 
 a piecewise-linear function with nonnegative jumps, steep negative slopes, and
-unit jumps at the middle-block points.  This module builds f exactly and
+unit jumps at the middle-block points.  This module builds f, with exact
+slopes and jump locations and values that round within ``_tolerance``, and
 verifies the structural properties that make it a member of the admissible
 family, including the slope-threshold/back-line ("bend") condition and the
 strict variant with an explicit jump-location set.
@@ -163,7 +164,10 @@ def _envelope_max(ps: PointSet, indices: range) -> PiecewiseLinearFn:
 
 
 def build_f(ps: PointSet, sc: ScaleParams) -> PiecewiseLinearFn:
-    """Upper envelope over A2 minus upper envelope over A0, exactly."""
+    """Upper envelope over A2 minus upper envelope over A0.
+
+    Slopes and jump locations come out exact; values round, within
+    ``_tolerance(f, sc)``."""
     if len(ps) != sc.N:
         raise ValueError(f"point set has {len(ps)} points, scale needs N={sc.N}")
     return _envelope_max(ps, sc.A2) - _envelope_max(ps, sc.A0)
@@ -245,82 +249,107 @@ def check_properties(f: PiecewiseLinearFn, sc: ScaleParams, ps: PointSet) -> Pro
     return rep
 
 
-def _probes(
-    f: PiecewiseLinearFn, lo: float, hi: float, threshold: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(x, limit-value) probes covering every affine piece of f on (lo, hi).
-
-    The window: two binary searches pick the segments of f that meet
-    (lo, hi), and each is clipped to [max(b_k, lo), min(b_{k+1}, hi)].  With a
-    ``threshold`` only pieces whose slope exceeds it fire (ties do not;
-    slopes are exact).  Every piece gives two probes, in piece order: the
-    limit from the right at its left end (value plus jump) and the limit
-    from the left at its right end.  f(x) - s0*x is affine on the piece, so
-    these are its extremes there.  Boundary values are limits from inside
-    the interval, so a jump sitting exactly at lo or hi does not leak in:
-    the dominance claims being checked hold pointwise on the open interval
-    and extend to its ends only by one-sided limits.  Requires lo < hi.
-    Returns the probe abscissas and values as two arrays.
-    """
-    bp = f.breakpoints
-    k = np.arange(
-        int(np.searchsorted(bp, lo, side="right")) - 1,
-        int(np.searchsorted(bp, hi, side="left")),
-    )
-    if threshold is not None:
-        k = k[f.slopes[k] > threshold]
-    u = np.maximum(bp[k], lo)
-    v = np.minimum(bp[k + 1], hi)
-    xs = np.column_stack([u, v]).ravel()
-    ys = np.column_stack([f.values_at(u) + f.jumps_at(u), f.values_at(v)]).ravel()
-    return xs, ys
+def _segments(bp: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(entry, k) for every segment k of breakpoints bp that meets the window
+    (lo[e], hi[e]) of entry e, grouped by entry in segment order.  Two binary
+    searches give each window's ragged segment range; lo < hi makes it
+    nonempty, and lo = hi leaves at most the segment holding lo."""
+    first = np.searchsorted(bp, lo, side="right") - 1
+    count = np.searchsorted(bp, hi, side="left") - first
+    entry = np.repeat(np.arange(lo.size), count)
+    return entry, first[entry] + np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count)
 
 
-def _backline_check(
+def _first_extreme(score: np.ndarray, group: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """Index of the first extreme (``np.maximum`` or ``np.minimum``) of score
+    within each run of equal ids in the nondecreasing array group, as
+    argmax and argmin pick it."""
+    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    ext = ufunc.reduceat(score, starts)
+    runs = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, score.size]))
+    hit = np.flatnonzero(score == ext[runs])
+    return hit[np.searchsorted(runs[hit], np.arange(starts.size))]
+
+
+def _backlines(
     f: PiecewiseLinearFn,
-    lo: float,
-    jump_x: float,
-    hi: float,
-    threshold: float,
+    lo: np.ndarray,
+    x: np.ndarray,
+    hi: np.ndarray,
+    threshold: np.ndarray,
     s0: float,
     tol: float,
-) -> tuple[bool, bool, Violation | None]:
-    """Back-line dominance test around a jump at jump_x.
+) -> tuple[np.ndarray, np.ndarray, list[Violation | None]]:
+    """Back-line dominance tests around jumps at x, one entry per array index.
 
-    If any point of (jump_x, hi) lies on a segment with slope above
-    ``threshold``, then every point of [lo, jump_x) must dominate the line of
-    slope s0 drawn back from it:  f(x) >= f(xbar) - s0*(xbar - x), up to the
-    check's value tolerance ``tol``.  The value at lo is read as the limit
-    from the right: a jump at the neighbor point itself belongs to the
-    stretch left of it, not to this one.  Returns (ok, fired, witness).
+    Entry e fires when some point of (x[e], hi[e]) lies on a segment with
+    slope above threshold[e] (ties do not fire; slopes are exact).  A fired
+    entry passes when every point of [lo[e], x[e]) dominates the line of
+    slope s0 drawn back from the worst firing point xbar:
+    f(x) >= f(xbar) - s0*(xbar - x), up to the value tolerance ``tol``.
+
+    Probes: each segment meeting a window is clipped to
+    [max(b_k, lo), min(b_{k+1}, hi)] and probed at both ends, first by the
+    limit from the right (value plus jump), then by the limit from the left.
+    f(x) - s0*x is affine on the piece, so these are its extremes there.
+    Boundary values are limits from inside the window, so a jump sitting
+    exactly at lo, x or hi does not leak in: the dominance claim holds
+    pointwise on the open interval and extends to its ends only by one-sided
+    limits.  Ties go to the first probe in segment order.
+
+    Bend and strict clause (c) both call this with the neighbours of x in a
+    fence, but their fences differ: bend's is the distinct point values, so
+    x_1 belongs to it, while strict-c's is gamma plus the ends 0 and 1, and
+    gamma leaves out the first point.  Bend skips entries where f does not
+    jump; strict-c tests every gamma2 location (ROADMAP item 12).  Requires
+    x <= hi, and lo < x < hi wherever the threshold can fire.  Returns
+    (ok, fired, witness) per entry; ``fired`` is False where no slope exceeds
+    the threshold, which passes vacuously.
     """
-    xs, ys = _probes(f, jump_x, hi, threshold)
-    if not xs.size:
-        return True, False, None
-    i = int(np.argmax(ys - s0 * xs))  # first maximum, as max() picks
-    xbar, fbar = float(xs[i]), float(ys[i])
-    rhs = fbar - s0 * xbar
-    xs, ys = _probes(f, lo, jump_x)
-    i = int(np.argmin(ys - s0 * xs))
-    xlow, flow = float(xs[i]), float(ys[i])
-    lhs = flow - s0 * xlow
-    if lhs >= rhs - tol:
-        return True, True, None
+    bp = f.breakpoints
+    e_r, k_r = _segments(bp, x, hi)
+    fire = f.slopes[k_r] > threshold[e_r]
+    e_r, k_r = e_r[fire], k_r[fire]
+    fired = np.zeros(x.size, dtype=bool)
+    fired[e_r] = True
+    ok = np.ones(x.size, dtype=bool)
+    witness: list[Violation | None] = [None] * x.size
+    if not e_r.size:
+        return ok, fired, witness
+    tested = np.flatnonzero(fired)
+    e_l, k_l = _segments(bp, lo[tested], x[tested])
+    e_l = tested[e_l]
+    # right-window probes first, then left-window ones, each piece as (u, v)
+    u = np.concatenate([np.maximum(bp[k_r], x[e_r]), np.maximum(bp[k_l], lo[e_l])])
+    v = np.concatenate([np.minimum(bp[k_r + 1], hi[e_r]), np.minimum(bp[k_l + 1], x[e_l])])
+    fu, fv = np.split(f.values_at(np.concatenate([u, v])), 2)
+    xs = np.column_stack([u, v]).ravel()
+    ys = np.column_stack([fu + f.jumps_at(u), fv]).ravel()
+    score = ys - s0 * xs
+    cut = 2 * e_r.size
+    i_bar = _first_extreme(score[:cut], np.repeat(e_r, 2), np.maximum)
+    i_low = cut + _first_extreme(score[cut:], np.repeat(e_l, 2), np.minimum)
+    xbar, fbar, xlow, flow = xs[i_bar], ys[i_bar], xs[i_low], ys[i_low]
+    bad = flow - s0 * xlow < fbar - s0 * xbar - tol
+    ok[tested] = ~bad
     required = fbar - s0 * (xbar - xlow)
-    return False, True, Violation(xlow, flow, required, f"back line from xbar={xbar:.9g}")
+    rows = zip(tested[bad].tolist(), *(a[bad].tolist() for a in (xlow, flow, required, xbar)))
+    for e, where, measured, need, bar in rows:
+        witness[e] = Violation(where, measured, need, f"back line from xbar={bar:.9g}")
+    return ok, fired, witness
 
 
-def _fenced_backline(
-    f: PiecewiseLinearFn, fence: np.ndarray, x: float, threshold: float, s0: float, tol: float
-) -> tuple[bool, Violation | None]:
-    """Back-line test around x between its neighbors in the sorted array
-    fence, which holds x.  Vacuously true when x is an end of the fence: no
-    room on one side, nothing to test.  Returns (ok, witness)."""
-    p = int(np.searchsorted(fence, x))
-    if p == 0 or p == fence.size - 1:
-        return True, None
-    ok, _fired, witness = _backline_check(f, float(fence[p - 1]), x, float(fence[p + 1]), threshold, s0, tol)
-    return ok, witness
+def _fenced_backlines(
+    f: PiecewiseLinearFn, fence: np.ndarray, x: np.ndarray, threshold: np.ndarray, s0: float, tol: float
+) -> tuple[np.ndarray, np.ndarray, list[Violation | None]]:
+    """:func:`_backlines` around each x[e] between its neighbours in the
+    sorted array fence, which holds every x[e].  An entry at an end of the
+    fence passes vacuously, unfired: no room on one side, nothing to test,
+    so its window closes on x[e] and its threshold +inf fires nothing."""
+    p = np.searchsorted(fence, x)
+    lo = fence[np.maximum(p - 1, 0)]
+    hi = fence[np.minimum(p + 1, fence.size - 1)]
+    return _backlines(f, lo, x, hi, np.where((lo < x) & (x < hi), threshold, np.inf), s0, tol)
 
 
 def check_bend_condition(
@@ -346,9 +375,19 @@ def check_bend_condition(
     tol = _tolerance(f, sc)
     if f.jump_at(xj) <= tol:
         raise ValueError(f"no discontinuity at x_{j}={xj!r}")
+    ok, _fired, (w,) = _bends(f, sc, ps, np.array([j]), tol)
     rep = PropertyReport()
-    rep.add(f"bend[j={j}]", *_fenced_backline(f, ps.distinct_values, xj, sc.s0 - k, sc.s0, tol))
+    rep.add(f"bend[j={j}]", bool(ok[0]), w)
     return rep
+
+
+def _bends(
+    f: PiecewiseLinearFn, sc: ScaleParams, ps: PointSet, js: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, list[Violation | None]]:
+    """The bend tests at the last-block indices js, fenced by the distinct
+    point values, with thresholds s0 - k for k = j - (N - n0)."""
+    threshold = sc.s0 - (js - (sc.N - sc.n0))
+    return _fenced_backlines(f, ps.distinct_values, ps.values[js - 1], threshold, sc.s0, tol)
 
 
 @dataclass(frozen=True)
@@ -431,11 +470,12 @@ def check_strict_admissibility(
     rep.add_first("b", h < 1.0 - tol, lambda k: Violation(float(unit[k]), float(h[k]), 1.0))
 
     fence = np.unique(np.concatenate([sorted_gamma, [0.0, 1.0]]))
-    for n, xi in enumerate(gs.gamma2, start=1):
-        ok, w = _fenced_backline(g, fence, xi, sc.s0 - n, sc.s0, tol)
-        if not ok:
-            rep.add("c", False, replace(w, note=f"gamma2 index n={n}; {w.note}"))
-            break
+    n = np.arange(1, n_back + 1)
+    ok, _fired, w = _fenced_backlines(g, fence, np.array(gs.gamma2), sc.s0 - n, sc.s0, tol)
+    bad = np.flatnonzero(~ok)
+    if bad.size:  # the first failing gamma2 index
+        i = int(bad[0])
+        rep.add("c", False, replace(w[i], note=f"gamma2 index n={i + 1}; {w[i].note}"))
     else:
         rep.add("c", True)
     return rep
@@ -455,12 +495,15 @@ def check_all(f: PiecewiseLinearFn, sc: ScaleParams, ps: PointSet) -> PropertyRe
     x1 = ps.points[0]
     h1 = f.jump_at(x1)
     rep.add("continuity[x1]", abs(h1) <= tol, Violation(x1, h1, 0.0))
-    last = range(sc.N - sc.n0 + 1, sc.N)
-    for j, h in zip(last, f.jumps_at(ps.values[sc.N - sc.n0 : sc.N - 1])):
-        if h <= tol:
-            rep.skip(f"bend[j={j}]", "no jump")
+    last = np.arange(sc.N - sc.n0 + 1, sc.N)
+    jumps = f.jumps_at(ps.values[last - 1]) > tol
+    ok, _fired, w = _bends(f, sc, ps, last[jumps], tol)
+    tested = iter(zip(ok.tolist(), w))
+    for j, jumping in zip(last.tolist(), jumps.tolist()):
+        if jumping:
+            rep.add(f"bend[j={j}]", *next(tested))
         else:
-            rep.extend(check_bend_condition(f, sc, ps, j))
+            rep.skip(f"bend[j={j}]", "no jump")
     try:
         gs = gamma_sets_from_points(ps, sc)
     except ValueError as exc:

@@ -25,7 +25,7 @@ from .plf import make_point_set, read_point_file, star_discrepancy
 from .sequences import checkpoints, kronecker, trajectory, van_der_corput, write_trajectory
 from .variational import qp_gap_report
 
-CHECK_MAX_T = 8  # N = a^t points: 6561 at a = 3, 35125 at a = 3.7
+CHECK_MAX_T = 8  # N = floor(a^t) points: 6561 at a = 3, 35124 at a = 3.7
 QP_MAX_T = 12  # ~a^(t-1) last-block steps; qp(3.7, 12) takes 11 s on a 2-core Xeon VM
 SEQUENCE_MAX_COUNT = 10**6
 # prefix lengths summed over the checkpoints, each costing time linear in its
@@ -138,6 +138,8 @@ def _cmd_check(args) -> int:
         return 2
     if args.t > CHECK_MAX_T:
         raise ValueError(f"exponent t={args.t} above the check limit {CHECK_MAX_T}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"seed {args.seed} must be a non-negative integer")
     sc = make_scale(args.a, args.t)
     if args.input is not None:
         ps = read_point_file(args.input)

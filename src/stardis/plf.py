@@ -2,9 +2,10 @@
 
 The central object is :class:`PiecewiseLinearFn`, a left-continuous piecewise
 linear function on [0, 1] with jump discontinuities at breakpoints.  The
-discrepancy function of a point-set prefix is represented exactly in this form,
-and envelope arithmetic (pointwise max, sums, differences) stays exact
-because all operations resolve to affine pieces on a merged breakpoint grid.
+discrepancy function of a point-set prefix is represented exactly in this form.
+Envelope arithmetic (pointwise max, sums, differences) resolves to affine
+pieces on a merged breakpoint grid, so slopes and jump locations stay exact
+while values round (``admissibility._tolerance`` bounds the drift).
 """
 from __future__ import annotations
 

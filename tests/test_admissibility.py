@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from stardis.admissibility import (
     PropertyReport,
     Violation,
-    _fenced_backline,
+    _fenced_backlines,
     _tolerance,
     build_f,
     check_all,
@@ -522,10 +522,12 @@ def test_fenced_backline_vacuous_at_fence_end():
         2.0,
     )
     tol = _tolerance(g, make_scale(3.0, 2))  # s0 = -3
-    ok, w = _fenced_backline(g, np.array([0.6, 0.7, 0.8]), 0.7, -4.0, -3.0, tol)
-    assert not ok and 0.6 <= w.where <= 0.7
-    assert _fenced_backline(g, np.array([0.6, 0.7]), 0.7, -4.0, -3.0, tol) == (True, None)
-    assert _fenced_backline(g, np.array([0.7, 0.8]), 0.7, -4.0, -3.0, tol) == (True, None)
+    x, thr = np.array([0.7]), np.array([-4.0])
+    ok, fired, (w,) = _fenced_backlines(g, np.array([0.6, 0.7, 0.8]), x, thr, -3.0, tol)
+    assert not ok[0] and fired[0] and 0.6 <= w.where <= 0.7
+    for fence in ([0.6, 0.7], [0.7, 0.8]):
+        ok, fired, w = _fenced_backlines(g, np.array(fence), x, thr, -3.0, tol)
+        assert (ok.tolist(), fired.tolist(), w) == ([True], [False], [None])
 
 
 # ------------------------------------------- exact slopes, the value tolerance

@@ -265,6 +265,12 @@ def test_check_t_above_cap_exits_2(capsys):
     assert out == "" and "limit 8" in err
 
 
+def test_check_negative_seed_exits_2(capsys):
+    code, out, err = run(capsys, "check", "--seed", "-1", "--a", "3", "--t", "2")
+    assert code == 2
+    assert out == "" and err == "error: seed -1 must be a non-negative integer\n"
+
+
 def test_check_domain_error_exits_2(capsys):
     code, _, err = run(capsys, "check", "--seed", "1", "--a", "2.9", "--t", "2")
     assert code == 2
