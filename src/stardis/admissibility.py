@@ -416,16 +416,24 @@ def gamma_sets_from_points(ps: PointSet, sc: ScaleParams) -> GammaSets:
     values; gamma2 = last-block values below the final index, ordered by
     index.  Requires pairwise distinct values so the cardinalities are exact.
     """
-    if len(ps) != sc.N:
-        raise ValueError(f"point set has {len(ps)} points, scale needs N={sc.N}")
-    if not sc.integer_exact:
-        raise ValueError("canonical jump-location sets need an integer-exact scale (a=3)")
-    if len(set(ps.points)) != sc.N:
-        raise ValueError("point values must be pairwise distinct")
+    reason = _no_gamma_sets(ps, sc)
+    if reason:
+        raise ValueError(reason)
     gamma = frozenset(ps.points[1:])
     gamma1 = frozenset(ps.points[i - 1] for i in sc.A1)
     gamma2 = tuple(ps.points[i - 1] for i in range(sc.N - sc.n0 + 1, sc.N))
     return GammaSets(gamma, gamma1, gamma2)
+
+
+def _no_gamma_sets(ps: PointSet, sc: ScaleParams) -> str | None:
+    """Why ps has no canonical jump-location sets at scale sc, or None."""
+    if len(ps) != sc.N:
+        return f"point set has {len(ps)} points, scale needs N={sc.N}"
+    if not sc.integer_exact:
+        return "canonical jump-location sets need an integer-exact scale (a=3)"
+    if ps.distinct_values.size != sc.N:
+        return "point values must be pairwise distinct"
+    return None
 
 
 def check_strict_admissibility(
@@ -451,27 +459,32 @@ def check_strict_admissibility(
         raise ValueError(f"gamma2 must be {n_back} locations inside gamma")
     if gs.gamma1 & frozenset(gs.gamma2):
         raise ValueError("gamma1 and gamma2 must be disjoint")
+    return _strict(g, sc, np.array(sorted(gs.gamma)), np.array(sorted(gs.gamma1)), np.array(gs.gamma2))
 
+
+def _strict(
+    g: PiecewiseLinearFn, sc: ScaleParams, gamma: np.ndarray, gamma1: np.ndarray, gamma2: np.ndarray
+) -> PropertyReport:
+    """The strict clauses a-c on valid jump-location sets: gamma and gamma1
+    as sorted arrays, gamma2 as an array in index order."""
     rep = PropertyReport()
     tol = _tolerance(g, sc)
-    sorted_gamma = np.array(sorted(gs.gamma))
 
     # jumps sit exactly on point values, so membership in gamma is exact
     k = np.flatnonzero(g.jumps > tol)
     x = g.breakpoints[k]
     rep.add_first(
         "a",
-        ~np.isin(x, sorted_gamma),
+        ~np.isin(x, gamma),
         lambda i: Violation(float(x[i]), float(g.jumps[k[i]]), 0.0, "jump outside gamma"),
     )
 
-    unit = np.array(sorted(gs.gamma1))
-    h = g.jumps_at(unit)
-    rep.add_first("b", h < 1.0 - tol, lambda k: Violation(float(unit[k]), float(h[k]), 1.0))
+    h = g.jumps_at(gamma1)
+    rep.add_first("b", h < 1.0 - tol, lambda k: Violation(float(gamma1[k]), float(h[k]), 1.0))
 
-    fence = np.unique(np.concatenate([sorted_gamma, [0.0, 1.0]]))
-    n = np.arange(1, n_back + 1)
-    ok, _fired, w = _fenced_backlines(g, fence, np.array(gs.gamma2), sc.s0 - n, sc.s0, tol)
+    fence = np.unique(np.concatenate([gamma, [0.0, 1.0]]))
+    n = np.arange(1, gamma2.size + 1)
+    ok, _fired, w = _fenced_backlines(g, fence, gamma2, sc.s0 - n, sc.s0, tol)
     bad = np.flatnonzero(~ok)
     if bad.size:  # the first failing gamma2 index
         i = int(bad[0])
@@ -504,10 +517,11 @@ def check_all(f: PiecewiseLinearFn, sc: ScaleParams, ps: PointSet) -> PropertyRe
             rep.add(f"bend[j={j}]", *next(tested))
         else:
             rep.skip(f"bend[j={j}]", "no jump")
-    try:
-        gs = gamma_sets_from_points(ps, sc)
-    except ValueError as exc:
-        rep.skip("strict", str(exc))
-    else:
-        rep.extend(check_strict_admissibility(f, sc, gs), prefix="strict-")
+    reason = _no_gamma_sets(ps, sc)
+    if reason:
+        rep.skip("strict", reason)
+    else:  # the canonical sets as slices of the point values, gamma and gamma1 sorted
+        v, n0, N = ps.values, sc.n0, sc.N
+        strict = _strict(f, sc, np.sort(v[1:]), np.sort(v[n0 : N - n0]), v[N - n0 : N - 1])
+        rep.extend(strict, prefix="strict-")
     return rep

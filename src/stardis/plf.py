@@ -239,9 +239,10 @@ class PiecewiseLinearFn:
                 slopes[k] = np.where(fr[k] + fk * half >= gr[k] + gk * half, fk, gk)
                 half = (v - x) / 2
                 split = np.where(frx + fk * half >= grx + gk * half, fk, gk)
-                grid = np.insert(grid, k + 1, x)
-                slopes = np.insert(slopes, k + 1, split)
-                jumps = np.insert(jumps, k + 1, np.maximum(frx, grx) - np.maximum(fx, gx))
+                at = _placement(k + 1, grid.size)
+                grid = _placed(grid, x, at)
+                slopes = _placed(slopes, split, at)
+                jumps = _placed(jumps, np.maximum(frx, grx) - np.maximum(fx, gx), at)
         return PiecewiseLinearFn(grid, slopes, jumps, anchor)
 
 
@@ -251,21 +252,48 @@ _Parts = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 # A PLF on a grid: (left values at every grid point, right limits at every
 # grid point below 1, slope on every grid segment).
 _OnGrid = tuple[np.ndarray, np.ndarray, np.ndarray]
+# Where np.insert(arr, before, values) puts its items: the output positions
+# of the values, and a mask of the output positions that keep arr's items.
+_Placement = tuple[np.ndarray, np.ndarray]
 
 
 def _on_union(f: _Parts, g: _Parts) -> tuple[np.ndarray, _OnGrid, _OnGrid]:
     """The merged breakpoint grid of f and g, and each function on it.
 
-    The grid is f's breakpoints with g's missing ones inserted, so f is
-    spread (cheap when g adds few points, as a new D_n adds one point to a
-    running envelope) and g is sampled.
+    The grid is f's breakpoints with g's missing ones inserted, placed once
+    for every array of f (cheap when g adds few points, as a new D_n adds
+    one point to a running envelope); g is sampled.
     """
     idx = f[0].searchsorted(g[0])  # every point <= 1 = f's last, so idx indexes f
     fresh = f[0][idx] != g[0]  # g's points that f lacks
     pos = idx + fresh.cumsum() - fresh  # grid position of each of g's points
     before, x = idx[fresh], g[0][fresh]
-    grid = np.insert(f[0], before, x)
-    return grid, _spread(f, before, x), _sample(g, grid, pos)
+    at = _placement(before, f[0].size)
+    grid = _placed(f[0], x, at)
+    return grid, _spread(f, before, x, at), _sample(g, grid, pos)
+
+
+def _placement(before: np.ndarray, size: int) -> _Placement:
+    """The placement of values inserted before the nondecreasing indices
+    ``before`` of an array of ``size`` items, as ``np.insert`` places them:
+    the j-th value lands at before[j] + j."""
+    at = before + np.arange(before.size)
+    keep = np.ones(size + before.size, dtype=bool)
+    keep[at] = False
+    return at, keep
+
+
+def _placed(arr: np.ndarray, values: np.ndarray, placement: _Placement) -> np.ndarray:
+    """``np.insert(arr, before, values)`` for a placement of ``before``.
+
+    A grid's per-segment arrays are one item shorter than the grid, and
+    nothing is inserted after its last point 1, so one placement serves
+    them all: the mask is cut to the output's length."""
+    at, keep = placement
+    out = np.empty(arr.size + at.size)
+    out[keep[: out.size]] = arr
+    out[at] = values
+    return out
 
 
 def _affine(fn: _Parts, k: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -274,27 +302,26 @@ def _affine(fn: _Parts, k: np.ndarray, x: np.ndarray) -> np.ndarray:
     return lv[k] + jp[k] + sl[k] * (x - bp[k])
 
 
-def _spread(fn: _Parts, before: np.ndarray, x: np.ndarray) -> _OnGrid:
+def _spread(fn: _Parts, before: np.ndarray, x: np.ndarray, at: _Placement) -> _OnGrid:
     """fn on its breakpoints plus the points x, none of them breakpoints,
-    inserted before its breakpoints ``before``; fn is affine across each."""
+    inserted before its breakpoints ``before`` at the placement ``at``; fn
+    is affine across each.  One placement fills all three arrays."""
     bp, lv, jp, sl = fn
     k = before - 1  # fn's segment holding each point
     xl = _affine(fn, k, x)
     # off the breakpoints the right limit is left + 0.0, as on a full grid
-    return np.insert(lv, before, xl), np.insert(lv[:-1] + jp, before, xl + 0.0), np.insert(sl, before, sl[k])
+    return _placed(lv, xl, at), _placed(lv[:-1] + jp, xl + 0.0, at), _placed(sl, sl[k], at)
 
 
 def _sample(fn: _Parts, grid: np.ndarray, pos: np.ndarray) -> _OnGrid:
     """fn on grid, a superset of its breakpoints, which sit at the grid
-    positions ``pos``.  Only the other grid points are interpolated."""
+    positions ``pos``.  Every grid point below 1 is interpolated in its
+    segment, then fn's own left values overwrite those at ``pos``."""
     bp, lv, jp, sl = fn
     seg = np.repeat(np.arange(pos.size - 1), pos[1:] - pos[:-1])  # fn's segment under each grid segment
-    off = np.ones(grid.size, dtype=bool)
-    off[pos] = False
-    off = off.nonzero()[0]  # grid positions off fn's breakpoints
     left = np.empty(grid.size)
+    left[:-1] = _affine(fn, seg, grid[:-1])
     left[pos] = lv
-    left[off] = _affine(fn, seg[off], grid[off])
     jumps = np.zeros(grid.size - 1)
     jumps[pos[:-1]] = jp
     return left, left[:-1] + jumps, sl[seg]

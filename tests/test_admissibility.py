@@ -460,6 +460,37 @@ def test_strict_admissibility_requires_integer_exact_scale():
         check_strict_admissibility(f, sc, fake)
 
 
+def test_check_all_strict_entries_match_generic_clauses():
+    # check_all passes the clauses sorted slices of the point values, the
+    # generic entry point its frozensets: both must report the same entries,
+    # witnesses included, on passing f and on g failing each clause
+    cases = []
+    for t, seed in ((2, 4), (3, 0), (4, 1)):
+        sc = make_scale(3.0, t)
+        ps = make_point_set(np.random.default_rng(seed).random(sc.N))
+        f = build_f(ps, sc)
+        locs = np.sort(ps.values[1:])
+        spike = PiecewiseLinearFn([0.0, (locs[-2] + locs[-1]) / 2, 1.0], [0.0, 0.0], [0.0, 0.5], 0.0)
+        unit = np.sort(ps.values[sc.n0 : sc.N - sc.n0])[0]
+        dent = PiecewiseLinearFn([0.0, unit, 1.0], [0.0, 0.0], [0.0, -0.9], 0.0)
+        cases += [(sc, ps, f), (sc, ps, f + spike), (sc, ps, f + dent)]
+    sc = make_scale(3.0, 2)
+    g = PiecewiseLinearFn(
+        [0.0, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -9.0, -3.5, 0.0, 0.0],
+        [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0],
+        0.0,
+    )
+    cases.append((sc, make_point_set([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]), g))
+    failed = set()
+    for sc, ps, g in cases:
+        generic = check_strict_admissibility(g, sc, gamma_sets_from_points(ps, sc))
+        strict = [e for e in check_all(g, sc, ps).entries if e[0].startswith("strict-")]
+        assert strict == [("strict-" + name, *rest) for name, *rest in generic.entries]
+        failed |= {name for name, status, _ in generic.entries if status == "fail"}
+    assert failed == {"a", "b", "c"}
+
+
 # -------------------------------------------------------------- full suite
 
 

@@ -100,6 +100,7 @@ def test_discrepancy_function_matches_parent_sort(case):
 # breakpoints from a small dyadic pool, so operands share breakpoints and
 # meet exactly at some of them, plus arbitrary interior ones
 _POOL = [k / 16 for k in range(1, 16)]
+_LARGE_POOL = [k / 64 for k in range(1, 64)]
 
 
 @st.composite
@@ -121,6 +122,32 @@ def test_pairwise_arithmetic_matches_parent(f, g):
     assert_same(g.maximum(f), oracle_binary(g, f, "max"))
     assert_same(f - g, oracle_binary(f, g, "sub"))
     assert_same(f + g, oracle_binary(f, g, "add"))
+
+
+def zigzag(rng):
+    """40 interior breakpoints, 14 of them from a shared dyadic pool, with
+    independent values in [-4, 4] on both sides of each, a third of them
+    integers."""
+    shared = rng.choice(_LARGE_POOL, 14, replace=False)
+    bp = np.unique(np.concatenate([[0.0, 1.0], shared, rng.uniform(0.01, 0.99, 26)]))
+    m = bp.size - 1
+    size = 2 * m + 1
+    vals = np.where(rng.random(size) < 1 / 3, rng.integers(-4, 5, size), rng.uniform(-4, 4, size))
+    left, right = vals[: m + 1], vals[m + 1 :]  # left values, right limits
+    return PiecewiseLinearFn(bp, (left[1:] - right) / np.diff(bp), right - left[:-1], left[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_large_operand_arithmetic_matches_parent(seed):
+    # two zigzags cross on many segments, meet exactly at some breakpoints,
+    # and each merge inserts many points; a drawn seed makes the arrays, as
+    # shrinking 160 values would not make a failure clearer
+    rng = np.random.default_rng(seed)
+    f, g = zigzag(rng), zigzag(rng)
+    assert_same(f.maximum(g), oracle_binary(f, g, "max"))
+    assert_same(g.maximum(f), oracle_binary(g, f, "max"))
+    assert_same(f - g, oracle_binary(f, g, "sub"))
 
 
 # ------------------------------------------------------------ golden digests

@@ -15,6 +15,7 @@ from stardis.plf import (
     star_discrepancy,
     write_point_file,
 )
+from stardis.plf import _placed, _placement
 
 from envelope_oracle import oracle_resample
 
@@ -232,6 +233,37 @@ def test_envelope_equals_full_resample(f, g):
     assert h.slopes.tobytes() == np.where(mid_f >= mid_g, fs, gs).tobytes()
     assert h.jumps.tobytes() == (np.maximum(fr, gr) - np.maximum(fl, gl))[:-1].tobytes()
     assert h.anchor == np.maximum(fl, gl)[0]
+
+
+@st.composite
+def insertions(draw):
+    """An array of 2..2000 random floats and nondecreasing insertion indices
+    in 1..size-1, the range the merges insert at (never before 0, never
+    after 1): none, repeated ones, index 1 and the index of the last item."""
+    size = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    index = st.integers(1, size - 1)
+    before = draw(
+        st.one_of(
+            st.just([]),
+            st.lists(index, max_size=40),
+            index.flatmap(lambda i: st.lists(st.just(i), min_size=2, max_size=5)),  # repeated
+            st.lists(st.sampled_from([1, size - 1]), min_size=1, max_size=4),  # both ends
+        )
+    )
+    before = np.array(sorted(before), dtype=np.intp)
+    return rng.standard_normal(size), before, rng.standard_normal(before.size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(insertions())
+def test_placement_equals_np_insert(case):
+    arr, before, values = case
+    at = _placement(before, arr.size)
+    assert _placed(arr, values, at).tobytes() == np.insert(arr, before, values).tobytes()
+    # per-segment arrays, one item shorter, share the grid's placement
+    short = arr[:-1]
+    assert _placed(short, values, at).tobytes() == np.insert(short, before, values).tobytes()
 
 
 # ------------------------------------------------------ discrepancy profiles
